@@ -103,25 +103,16 @@ def _grid_step(grid):
 
 
 def cumulative_trapezoid_matrix(m: int, h: float) -> np.ndarray:
-    """Lower-triangular map from control samples to their running integral."""
-    L = np.zeros((m, m))
-    for j in range(1, m):
-        L[j, 0] = h / 2.0
-        L[j, 1:j] = h
-        L[j, j] = h / 2.0
+    """Lower-triangular map from control samples to their running integral.
+
+    Dense reference form of _Transcription.state; the verifier itself never
+    builds it.
+    """
+    L = np.tril(np.full((m, m), h), -1)
+    L[1:, 0] = h / 2.0
+    idx = np.arange(1, m)
+    L[idx, idx] = h / 2.0
     return L
-
-
-def _pwl_energy_matrix(m: int, h: float) -> np.ndarray:
-    """M with u' M u / 2 = exact integral of the squared piecewise-linear u."""
-    M = np.zeros((m, m))
-    d = np.full(m, 2.0 * h / 3.0)
-    d[0] = d[-1] = h / 3.0
-    idx = np.arange(m)
-    M[idx, idx] = d
-    M[idx[:-1], idx[:-1] + 1] = h / 6.0
-    M[idx[:-1] + 1, idx[:-1]] = h / 6.0
-    return M
 
 
 def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -> CostBreakdown:
@@ -153,19 +144,11 @@ def quadratic_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -
     """
     h = _grid_step(traj.grid)
     s = simpson_weights(len(traj.grid), h)
-    n = traj.n
-    others = [j for j in range(n) if j != i]
-    G = np.zeros(len(others) + 1)
-    for col, j in enumerate(others):
-        G[col] = net.edges.get((i, j), 0.0)
-    G[-1] = net.k[i]
-    total = 0.0
-    for row in range(len(traj.grid)):
-        z = np.empty(len(others) + 1)
-        z[:-1] = traj.x[row, i] - traj.x[row, others]
-        z[-1] = traj.x[row, i] - net.x0[i]
-        total += s[row] * (z @ (G * z) + traj.u[row, i] ** 2)
-    return 0.5 * float(total)
+    others = [j for j in range(traj.n) if j != i]
+    G = np.array([net.edges.get((i, j), 0.0) for j in others] + [net.k[i]])
+    xi = traj.x[:, i:i + 1]
+    Z = np.hstack([xi - traj.x[:, others], xi - net.x0[i]])
+    return 0.5 * float(s @ (np.einsum("rk,k,rk->r", Z, G, Z) + traj.u[:, i] ** 2))
 
 
 class _Transcription:
@@ -173,17 +156,18 @@ class _Transcription:
 
     J(u) = sum_j s_j [q_i x_j^2 / 2 - b_j x_j + c_j] + u' M u / 2 with
     x = x0_i + L u, b the frozen neighbor forcing and c the constant part,
-    so J equals the agent's full cost, not just the variable piece.
+    so J equals the agent's full cost, not just the variable piece.  L (the
+    running trapezoid sum) and M (the tridiagonal exact energy of the
+    piecewise-linear control) are applied as O(m) stencils, never formed.
+    Costs and states accept a stack of controls along the leading axis.
     """
 
     def __init__(self, net, traj, i):
-        grid = traj.grid
-        h = _grid_step(grid)
-        m = len(grid)
-        self.i = i
+        self.h = h = _grid_step(traj.grid)
+        m = len(traj.grid)
         self.s = simpson_weights(m, h)
-        self.L = cumulative_trapezoid_matrix(m, h)
-        self.M = _pwl_energy_matrix(m, h)
+        self.energy = np.full(m, 2.0 * h / 3.0)  # diagonal of M; off-diagonal h/6
+        self.energy[[0, -1]] = h / 3.0
         gm = build_matrices(net)
         self.q = float(gm.q[i])
         self.x0i = float(net.x0[i])
@@ -197,24 +181,56 @@ class _Transcription:
         self.c = c
 
     def state(self, u):
-        return self.x0i + self.L @ u
+        steps = np.cumsum((0.5 * self.h) * (u[..., :-1] + u[..., 1:]), axis=-1)
+        return self.x0i + np.concatenate([np.zeros(u.shape[:-1] + (1,)), steps],
+                                         axis=-1)
 
     def cost(self, u):
         x = self.state(u)
-        state_part = self.s @ (0.5 * self.q * x * x - self.b * x + self.c)
-        return float(state_part + 0.5 * u @ (self.M @ u))
+        state_part = np.sum(self.s * (0.5 * self.q * x * x - self.b * x + self.c), axis=-1)
+        a, b = u[..., :-1], u[..., 1:]
+        energy = np.sum(a * a + a * b + b * b, axis=-1) * (self.h / 6.0)
+        return state_part + energy
 
     def gradient(self, u):
         x = self.state(u)
-        return self.L.T @ (self.s * (self.q * x - self.b)) + self.M @ u
+        v = self.s * (self.q * x - self.b)
+        # L' v: tail sums of v[1:], each node taking half of both adjacent steps
+        tail = np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
+        lt_v = 0.5 * self.h * (tail + np.append(0.0, tail[:-1]))
+        mu = self.energy * u
+        mu[:-1] += (self.h / 6.0) * u[1:]
+        mu[1:] += (self.h / 6.0) * u[:-1]
+        return lt_v + mu
 
     def minimize(self):
-        H = self.M + self.q * (self.L.T * self.s) @ self.L
-        rhs = self.L.T @ (self.s * (self.b - self.q * self.x0i))
-        u = scipy.linalg.solve(H, rhs, assume_a="pos")
-        # one refinement step keeps the optimality residual at roundoff
-        u -= scipy.linalg.solve(H, self.gradient(u), assume_a="pos")
-        return u
+        """Minimizer of J from the KKT system of the QP in (u, x, lambda).
+
+        The trapezoid steps x_j - x_{j-1} = h (u_{j-1} + u_j) / 2 are equality
+        rows with multipliers lambda_j.  Ordering the unknowns
+        u_0, (x_j, lambda_j, u_j) for j = 1 .. m-1 makes the symmetric KKT
+        matrix banded with bandwidth 4, so one LU solve costs O(m).
+        """
+        m, h, s = len(self.s), self.h, self.s
+        iu = 3 * np.arange(m)
+        ix, il = iu[1:] - 2, iu[1:] - 1
+        ab = np.zeros((9, 3 * m - 2))
+
+        def put(rows, cols, vals):  # symmetric pair in LAPACK band storage
+            ab[4 + rows - cols, cols] = vals
+            ab[4 + cols - rows, rows] = vals
+
+        put(iu, iu, self.energy)
+        put(iu[:-1], iu[1:], h / 6.0)
+        put(ix, ix, self.q * s[1:])
+        put(ix, il, 1.0)
+        put(ix[:-1], il[1:], -1.0)
+        put(il, iu[:-1], -0.5 * h)
+        put(il, iu[1:], -0.5 * h)
+        rhs = np.zeros(3 * m - 2)
+        rhs[ix] = s[1:] * self.b[1:]
+        rhs[il[0]] = self.x0i
+        return scipy.linalg.solve_banded((4, 4), ab, rhs)[iu]
 
 
 def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
@@ -222,8 +238,9 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     """Minimize agent i's transcribed cost against the frozen rivals in traj.
 
     The objective is a strictly convex quadratic in the sampled control, so
-    the minimizer comes from one positive-definite solve; the gradient norm
-    is reported and checked against grad_tol.
+    the minimizer comes from one banded KKT solve in O(m) (see
+    _Transcription.minimize); the gradient norm is reported and checked
+    against grad_tol.
     """
     model = _Transcription(net, traj, i)
     u = model.minimize()
@@ -232,9 +249,9 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     if gnorm > grad_tol * scale:
         raise RuntimeError(
             f"best-response solve did not reach stationarity for agent {i + 1}: "
-            f"gradient norm {gnorm:.3e} after refinement")
-    cost = model.cost(u)
-    gap = model.cost(traj.u[:, i]) - cost
+            f"gradient norm {gnorm:.3e}")
+    cost = float(model.cost(u))
+    gap = float(model.cost(traj.u[:, i])) - cost
     return BestResponseResult(agent=i, control=u, trajectory=model.state(u),
                               cost=cost, gap=gap, gradient_norm=gnorm)
 
@@ -303,32 +320,25 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     Draws `count` band-limited perturbations (random low-order Fourier sums,
     normalized to unit sup norm), applies each at every amplitude relative
     to |u_i|_inf + 1, and recomputes the transcribed cost with rivals
-    frozen.  Returns (passed, worst_gain) where worst_gain is the largest
-    cost reduction any perturbation achieved; passing means no reduction
-    beyond tol.
+    frozen.  All perturbations of one amplitude are costed as one
+    count x m batch; the base cost goes through the same batched path, so
+    a zero amplitude gives a gain of exactly zero.  Returns
+    (passed, worst_gain) where worst_gain is the largest cost reduction any
+    perturbation achieved; passing means no reduction beyond tol.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     model = _Transcription(net, traj, i)
     u_base = traj.u[:, i]
-    base_cost = model.cost(u_base)
-    rng = np.random.default_rng(seed)
-    tgrid = traj.grid / traj.T
-    n_modes = 6
+    base_cost = model.cost(u_base[None])[0]
+    coef = np.random.default_rng(seed).standard_normal((count, 2, 6))
+    phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
+    delta = coef.reshape(count, 12) @ np.vstack([np.sin(phase), np.cos(phase)])
+    peak = np.max(np.abs(delta), axis=1)
+    delta = delta[peak != 0.0] / peak[peak != 0.0, None]
     scale = float(np.max(np.abs(u_base))) + 1.0
     worst_gain = 0.0
-    for _ in range(count):
-        coef_sin = rng.standard_normal(n_modes)
-        coef_cos = rng.standard_normal(n_modes)
-        delta = np.zeros(len(tgrid))
-        for mode in range(1, n_modes + 1):
-            delta += coef_sin[mode - 1] * np.sin(np.pi * mode * tgrid)
-            delta += coef_cos[mode - 1] * np.cos(np.pi * mode * tgrid)
-        peak = np.max(np.abs(delta))
-        if peak == 0.0:
-            continue
-        delta /= peak
-        for amp in amplitudes:
-            gain = base_cost - model.cost(u_base + (amp * scale) * delta)
-            worst_gain = max(worst_gain, gain)
+    for amp in amplitudes:
+        gains = base_cost - model.cost(u_base + (amp * scale) * delta)
+        worst_gain = max(worst_gain, float(np.max(gains, initial=0.0)))
     return worst_gain <= tol, worst_gain

@@ -2,10 +2,15 @@
 exit codes and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opiniongame
 from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED,
                              EXIT_VERIFY_FAILED, PRESETS, cmd_figures,
                              cmd_simulate, get_preset, load_scenario, main,
@@ -133,6 +138,20 @@ def test_limits_complete_uniform_output(capsys):
     out = capsys.readouterr().out
     assert "long-run limits" in out
     assert "eps=0.5: consensus time 0.000000" in out
+
+
+def test_module_entry_point_runs_command():
+    # `python -m opiniongame.cli` must dispatch, not import and exit silently
+    src = str(Path(opiniongame.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "opiniongame.cli", "limits", "--preset", "fig1c"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "scenario: fig1c" in proc.stdout
+    assert "long-run limits:" in proc.stdout
 
 
 def test_limits_unreachable_eps(capsys):

@@ -1,16 +1,56 @@
 """Tests for cost evaluation, best responses, Nash residuals, stationarity
 and deviation probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_net
-from opiniongame.cli import constant_candidate
+import opiniongame.verify as verify_module
+from opiniongame.cli import PRESETS, constant_candidate
 from opiniongame.network import InfluenceNetwork
 from opiniongame.solver import solve_equilibrium
-from opiniongame.verify import (best_response, deviation_test, evaluate_cost,
-                                nash_residual, quadratic_cost,
+from opiniongame.verify import (_Transcription, best_response,
+                                cumulative_trapezoid_matrix, deviation_test,
+                                evaluate_cost, nash_residual, quadratic_cost,
                                 simpson_weights, stationarity_check)
+
+
+def dense_energy_matrix(m, h):
+    """M with u' M u / 2 = exact integral of the squared piecewise-linear u."""
+    M = np.zeros((m, m))
+    d = np.full(m, 2.0 * h / 3.0)
+    d[0] = d[-1] = h / 3.0
+    idx = np.arange(m)
+    M[idx, idx] = d
+    M[idx[:-1], idx[:-1] + 1] = h / 6.0
+    M[idx[:-1] + 1, idx[:-1]] = h / 6.0
+    return M
+
+
+def dense_model(model):
+    """Dense L and M of a transcription, for reference computations."""
+    m = len(model.s)
+    return cumulative_trapezoid_matrix(m, model.h), dense_energy_matrix(m, model.h)
+
+
+def dense_cost(model, u):
+    L, M = dense_model(model)
+    x = model.x0i + L @ u
+    return float(model.s @ (0.5 * model.q * x * x - model.b * x + model.c)
+                 + 0.5 * u @ (M @ u))
+
+
+def dense_best_response(net, traj, i):
+    """Control minimizing H u = L' s (b - q x0) with H = M + q L' diag(s) L."""
+    model = _Transcription(net, traj, i)
+    L, M = dense_model(model)
+    H = M + model.q * (L.T * model.s) @ L
+    rhs = L.T @ (model.s * (model.b - model.q * model.x0i))
+    return np.linalg.solve(H, rhs)
 
 
 def test_simpson_weights_basic():
@@ -18,6 +58,33 @@ def test_simpson_weights_basic():
     np.testing.assert_allclose(w, np.array([1, 4, 2, 4, 1]) * 0.5 / 3.0)
     with pytest.raises(ValueError):
         simpson_weights(4, 0.5)
+
+
+def test_cumulative_trapezoid_matrix_entries():
+    h = 0.37
+    for m in (1, 2, 3, 8):
+        expected = np.zeros((m, m))
+        for j in range(1, m):
+            expected[j, 0] = h / 2.0
+            expected[j, 1:j] = h
+            expected[j, j] = h / 2.0
+        np.testing.assert_array_equal(cumulative_trapezoid_matrix(m, h), expected)
+
+
+def test_transcription_stencils_match_dense_operators(fig1b_net):
+    traj = solve_equilibrium(fig1b_net, 41)
+    model = _Transcription(fig1b_net, traj, 2)
+    L, M = dense_model(model)
+    u = np.random.default_rng(5).standard_normal(41)
+    np.testing.assert_allclose(model.state(u), model.x0i + L @ u,
+                               rtol=0, atol=1e-14)
+    assert model.cost(u) == pytest.approx(dense_cost(model, u), rel=1e-14)
+    x = model.x0i + L @ u
+    dense_grad = L.T @ (model.s * (model.q * x - model.b)) + M @ u
+    np.testing.assert_allclose(model.gradient(u), dense_grad, rtol=0, atol=1e-13)
+    # a stack of controls is costed row by row
+    U = np.stack([u, 2.0 * u, np.zeros(41)])
+    np.testing.assert_array_equal(model.cost(U), [model.cost(v) for v in U])
 
 
 def test_zero_coupling_equilibrium_cost_is_zero():
@@ -46,6 +113,23 @@ def test_cost_identity_on_solver_output(fig1b_net, fig2b_net):
                                              abs=1e-9)
             assert bd.influence_term >= 0 and bd.stubbornness_term >= 0
             assert bd.control_term >= 0
+
+
+def test_quadratic_cost_matches_row_loop(fig2b_net):
+    # the row-by-row evaluation of the same z_i' G_i z_i form; only the
+    # summation order differs
+    net = fig2b_net
+    traj = solve_equilibrium(net, 101)
+    s = simpson_weights(101, traj.grid[1] - traj.grid[0])
+    for i in (3, 7):
+        others = [j for j in range(net.n) if j != i]
+        G = np.array([net.edges.get((i, j), 0.0) for j in others] + [net.k[i]])
+        total = 0.0
+        for row in range(len(traj.grid)):
+            z = np.append(traj.x[row, i] - traj.x[row, others],
+                          traj.x[row, i] - net.x0[i])
+            total += s[row] * (z @ (G * z) + traj.u[row, i] ** 2)
+        assert quadratic_cost(net, traj, i) == pytest.approx(0.5 * total, rel=1e-13)
 
 
 def test_leader_cost_is_zero(fig2b_net):
@@ -89,6 +173,34 @@ def test_best_response_tracks_equilibrium(fig1b_net):
         assert res.trajectory[0] == fig1b_net.x0[i]
 
 
+@pytest.mark.parametrize("m", [3, 201, 1001])
+@pytest.mark.parametrize("case", ["fig1b", "fig3b", "constant", "random"])
+def test_best_response_matches_dense_solve(case, m):
+    if case == "random":
+        net = random_net(np.random.default_rng(8), n=7, T=2.0)
+    else:
+        net = PRESETS["fig1b" if case == "constant" else case].network
+    traj = (constant_candidate(net, m) if case == "constant"
+            else solve_equilibrium(net, m))
+    for i in sorted({0, net.n // 2, net.n - 1}):
+        err = np.max(np.abs(best_response(net, traj, i).control
+                            - dense_best_response(net, traj, i)))
+        assert err <= 1e-12, f"agent {i + 1}: {err:.2e}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       half=st.integers(1, 150))
+def test_best_response_stationary_on_random_nets(seed, n, half):
+    net = random_net(np.random.default_rng(seed), n=n)
+    traj = solve_equilibrium(net, 2 * half + 1)
+    for i in range(n):
+        res = best_response(net, traj, i)
+        scale = max(1.0, float(np.linalg.norm(_Transcription(net, traj, i).b)))
+        assert res.gradient_norm <= 1e-10 * scale
+        assert res.gap >= -1e-9
+
+
 def test_best_response_gap_never_meaningfully_negative():
     rng = np.random.default_rng(77)
     for _ in range(4):
@@ -103,7 +215,6 @@ def test_best_response_gradient_vanishes_quadratically(fig1b_net):
     # per unit quadrature weight, must decay at least as fast as h^2
     def scaled_gradient(m):
         traj = solve_equilibrium(fig1b_net, m)
-        from opiniongame.verify import _Transcription
         model = _Transcription(fig1b_net, traj, 0)
         h = traj.grid[1] - traj.grid[0]
         return np.max(np.abs(model.gradient(traj.u[:, 0]))) / h
@@ -151,6 +262,25 @@ def test_nash_residual_zero_for_decoupled_constant_candidate():
     net = InfluenceNetwork(n=3, edges={}, k=[0.0] * 3, x0=[0.2, 0.5, 0.8], T=2.0)
     cand = constant_candidate(net, 101)
     assert nash_residual(net, cand) <= 1e-15
+
+
+def test_verifier_forms_no_dense_matrix(fig1b_net, monkeypatch):
+    m = 2001
+    traj = solve_equilibrium(fig1b_net, m)
+
+    def dense_builder(*args):
+        raise AssertionError("verifier built the dense trapezoid matrix")
+
+    monkeypatch.setattr(verify_module, "cumulative_trapezoid_matrix", dense_builder)
+    tracemalloc.start()
+    try:
+        nash_residual(fig1b_net, traj)
+        deviation_test(fig1b_net, traj, 0, count=10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one m x m float array alone would take 8 m^2 bytes (32 MB here)
+    assert peak < m * m
 
 
 def test_nash_residual_checks_grid(fig1b_net):
@@ -210,3 +340,41 @@ def test_deviation_seeded_reproducible(fig1b_net):
     a = deviation_test(fig1b_net, traj, 2, count=20, seed=7)
     b = deviation_test(fig1b_net, traj, 2, count=20, seed=7)
     assert a == b
+
+
+def sequential_deviation_test(net, traj, i, count, seed,
+                              amplitudes=(1e-3, 1e-2, 1e-1), tol=1e-9):
+    """One perturbation at a time, costed with the dense L and M."""
+    model = _Transcription(net, traj, i)
+    u_base = traj.u[:, i]
+    base_cost = dense_cost(model, u_base)
+    rng = np.random.default_rng(seed)
+    tgrid = traj.grid / traj.T
+    scale = float(np.max(np.abs(u_base))) + 1.0
+    worst_gain = 0.0
+    for _ in range(count):
+        coef_sin = rng.standard_normal(6)
+        coef_cos = rng.standard_normal(6)
+        delta = np.zeros(len(tgrid))
+        for mode in range(1, 7):
+            delta += coef_sin[mode - 1] * np.sin(np.pi * mode * tgrid)
+            delta += coef_cos[mode - 1] * np.cos(np.pi * mode * tgrid)
+        peak = np.max(np.abs(delta))
+        if peak == 0.0:
+            continue
+        delta /= peak
+        for amp in amplitudes:
+            gain = base_cost - dense_cost(model, u_base + (amp * scale) * delta)
+            worst_gain = max(worst_gain, gain)
+    return worst_gain <= tol, worst_gain
+
+
+@pytest.mark.parametrize("candidate", ["equilibrium", "constant"])
+def test_deviation_batches_match_sequential_reference(fig1b_net, candidate):
+    traj = (solve_equilibrium(fig1b_net, 201) if candidate == "equilibrium"
+            else constant_candidate(fig1b_net, 201))
+    for i in (0, 4, 9):
+        ok, worst = deviation_test(fig1b_net, traj, i, count=30, seed=i)
+        ref_ok, ref_worst = sequential_deviation_test(fig1b_net, traj, i, 30, i)
+        assert ok == ref_ok
+        assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0.0)
