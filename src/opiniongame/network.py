@@ -40,10 +40,6 @@ class InfluenceNetwork:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "edges", dict(self.edges))
 
-    def neighbors(self, i):
-        """Agents that influence agent i, sorted."""
-        return sorted(j for (a, j) in self.edges if a == i)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

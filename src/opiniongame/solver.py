@@ -8,22 +8,24 @@ problem
 with x(0) = x0 fixed and p(T) = 0 free-endpoint.  Two evaluation routes are
 provided:
 
-* a general route that reads the transition blocks off augmented matrix
-  exponentials and solves for p(0) at the horizon, exact for arbitrary W;
+* a general route, exact for arbitrary W, that sweeps the costate gain
+  p = P x + r back from p(T) = 0 over the exact one-step transition blocks
+  and marches x forward from x0, stable at any horizon;
 * a spectral route used whenever W has a trustworthy real eigendecomposition,
   which collapses the block formula to per-mode cosh/sinh ratios.  The ratios
   are evaluated in exponential-difference form, so this route stays accurate
-  for stiff instances where cosh(sqrt(lambda) T) dwarfs float64 resolution
-  and the general route would cancel catastrophically.
+  for stiff instances where cosh(sqrt(lambda) T) dwarfs float64 resolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv as _gesv
 
-from .linalg import SingularMatrixError, exp_with_integral, solve_linear
+from .linalg import SingularMatrixError, exp_with_integral
 from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
                       SingleLeader, build_matrices, classify_topology)
 
@@ -31,6 +33,8 @@ from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
 _SERIES_CUTOFF = 1e-6
 # sqrt(lambda) * horizon above this switches ratios to exponential form.
 _EXP_FORM_CUTOFF = 30.0
+# horizon * sqrt(|W|) above this makes the general route refuse, not crawl.
+_MAX_STEPS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +251,6 @@ def transition_blocks(sys: StateCostateSystem, gm: GameMatrices, t) -> BlockTran
     )
 
 
-def spectral_blocks(sd: SpectralData, gm: GameMatrices, t) -> BlockTransition:
-    """Same blocks as transition_blocks, built from the eigendecomposition:
-    phi11 = V diag(cosh(sqrt(l) t)) V^-1, phi12 = -V diag(sinh(sqrt(l) t)/sqrt(l)) V^-1,
-    psi12 = -V diag((cosh(sqrt(l) t)-1)/l) V^-1, phi21 = W phi12, phi22 = phi11,
-    psi22 = -phi12."""
-    lam = np.asarray(sd.lambdas, dtype=float)
-    if np.iscomplexobj(sd.lambdas):
-        raise ValueError("spectral blocks require a real spectrum; use transition_blocks")
-    pis = np.array([kernel_cosh(l, t) for l in lam])
-    pihat = np.array([kernel_sinhc(l, t) for l in lam])
-    pitil = np.array([kernel_coshm1(l, t) for l in lam])
-    V, Vinv = sd.V, sd.Vinv
-    phi11 = (V * pis) @ Vinv
-    phi12 = -(V * pihat) @ Vinv
-    psi12 = -(V * pitil) @ Vinv
-    phi21 = gm.W @ phi12
-    return _blocks(t, phi11, phi12, phi21, phi11, psi12, -phi12, gm.k)
-
-
 def _complete_uniform_spectrum(n, w, kc):
     """Exact modes of the complete uniform topology: k + n w (n-1 times), then k."""
     lam = np.full(n, kc + n * w)
@@ -337,36 +322,56 @@ def spectral_data(gm: GameMatrices, topology=None, *,
     return sd
 
 
-def initial_costate(bt_T: BlockTransition, x0, rcond_min=1e-12):
-    """p(0) = -zeta22(T)^{-1} zeta21(T) x0, the costate making p(T) vanish."""
-    x0 = np.asarray(x0, dtype=float)
-    try:
-        return -solve_linear(bt_T.zeta22, bt_T.zeta21 @ x0, rcond_min=rcond_min)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "terminal block zeta22(T) is numerically singular; the instance is "
-            f"too stiff for the general route (long horizon and/or strong coupling): {exc}",
-            rcond=exc.rcond,
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # trajectory propagation
 
 
-def _propagate_general(gm, x0, grid, rcond_min):
-    sys = assemble_system(gm)
-    T = grid[-1]
-    bt_T = transition_blocks(sys, gm, T)
-    p0 = initial_costate(bt_T, x0, rcond_min=rcond_min)
-    m = len(grid)
-    n = len(x0)
-    x = np.empty((m, n))
-    p = np.empty((m, n))
-    for idx, t in enumerate(grid):
-        bt = transition_blocks(sys, gm, t)
-        x[idx] = bt.zeta11 @ x0 + bt.zeta12 @ p0
-        p[idx] = bt.zeta21 @ x0 + bt.zeta22 @ p0
+def _propagate_general(gm, x0, grid):
+    """Invariant imbedding (Ascher, Mattheij & Russell 1995, ch. 4): with exact
+    steps x+ = phi11 x + phi12 p + a, p+ = phi21 x + phi22 p + b (a = psi12 K x0,
+    b = psi22 K x0), sweep the gain p = P x + r back from 0 at T,
+    (phi22 - P+ phi12) [P | r] = [P+ phi11 - phi21 | P+ a + r+ - b], and march x
+    forward.  Steps keep sqrt(|W|) h <= 1; gains are kept about every
+    sqrt(steps) steps and recomputed block by block."""
+    m, n = len(grid), len(x0)
+    needed = grid[-1] * math.sqrt(np.linalg.norm(gm.W, np.inf))  # steps for sqrt(|W|) h <= 1
+    if not needed <= _MAX_STEPS:
+        raise ArithmeticError(f"the general route would need {needed:.3g} steps (limit {_MAX_STEPS})")
+    sub = max(1, math.ceil(needed / (m - 1)))
+    steps = sub * (m - 1)
+    bt = transition_blocks(assemble_system(gm), gm, grid[-1] / steps)
+    a, b = bt.psi12 @ (gm.k * x0), bt.psi22 @ (gm.k * x0)
+    # [x+; 1] = step @ [x; 1; p], so [P | r] @ step = [P phi11 | P a + r | P phi12]
+    step = np.block([[bt.phi11, a[:, None], bt.phi12],
+                     [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, n))]])
+    shift = np.column_stack([bt.phi21, b])
+    stride = math.isqrt(steps) + 1
+    starts = range(0, steps, stride)
+    ends = {steps: np.zeros((n, n + 1))}
+
+    def block(start):  # the gains from min(start + stride, steps) down to start
+        gains = [ends[min(start + stride, steps)]]
+        while len(gains) <= min(stride, steps - start):
+            prod = gains[-1] @ step
+            *_, gain, info = _gesv(bt.phi22 - prod[:, n + 1:], prod[:, :n + 1] - shift)
+            if info != 0:
+                raise SingularMatrixError(f"Riccati sweep hit an exactly singular pivot ({info})")
+            gains.append(gain)
+        return gains
+
+    for start in reversed(starts):
+        ends[start] = block(start)[-1]
+    if not np.all(np.isfinite(ends[0])):
+        raise SingularMatrixError("Riccati sweep produced non-finite gains")
+    x, p = np.empty((m, n)), np.zeros((m, n))
+    xe = np.append(x0, 1.0)
+    for start in starts:
+        for k, gain in enumerate(block(start)[:0:-1], start):
+            pk = gain @ xe
+            if k % sub == 0:
+                x[k // sub], p[k // sub] = xe[:n], pk
+            xe = step @ np.append(xe, pk)
+    x[-1] = xe[:n]
     return x, p
 
 
@@ -394,8 +399,7 @@ def _propagate_spectral(sd, gm, x0, grid):
 
 
 def solve_equilibrium(net: InfluenceNetwork, m: int, *,
-                      boundary_tol=1e-8, rcond_min=1e-12,
-                      route="auto") -> EquilibriumTrajectory:
+                      boundary_tol=1e-8, route="auto") -> EquilibriumTrajectory:
     """Sample the unique equilibrium trajectory on a uniform m-point grid.
 
     route picks the evaluation path: "auto" prefers the spectral route and
@@ -419,7 +423,7 @@ def solve_equilibrium(net: InfluenceNetwork, m: int, *,
     if sd is not None:
         x, p = _propagate_spectral(sd, gm, net.x0, grid)
     else:
-        x, p = _propagate_general(gm, net.x0, grid, rcond_min)
+        x, p = _propagate_general(gm, net.x0, grid)
     x[0] = net.x0  # t = 0 is the initial condition by definition
     pT = float(np.max(np.abs(p[-1])))
     if pT > boundary_tol:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .network import InfluenceNetwork, build_matrices
+from .network import GameMatrices, InfluenceNetwork, build_matrices
 from .solver import EquilibriumTrajectory
 
 
@@ -162,14 +162,13 @@ class _Transcription:
     Costs and states accept a stack of controls along the leading axis.
     """
 
-    def __init__(self, net, traj, i):
+    def __init__(self, net, traj, i, gm=None):
         self.h = h = _grid_step(traj.grid)
         m = len(traj.grid)
         self.s = simpson_weights(m, h)
         self.energy = np.full(m, 2.0 * h / 3.0)  # diagonal of M; off-diagonal h/6
         self.energy[[0, -1]] = h / 3.0
-        gm = build_matrices(net)
-        self.q = float(gm.q[i])
+        self.q = float((build_matrices(net) if gm is None else gm).q[i])
         self.x0i = float(net.x0[i])
         b = np.full(m, net.k[i] * net.x0[i])
         c = np.full(m, 0.5 * net.k[i] * net.x0[i] ** 2)
@@ -234,15 +233,16 @@ class _Transcription:
 
 
 def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
-                  grad_tol=1e-10) -> BestResponseResult:
+                  grad_tol=1e-10, *, gm: GameMatrices | None = None) -> BestResponseResult:
     """Minimize agent i's transcribed cost against the frozen rivals in traj.
 
     The objective is a strictly convex quadratic in the sampled control, so
     the minimizer comes from one banded KKT solve in O(m) (see
     _Transcription.minimize); the gradient norm is reported and checked
-    against grad_tol.
+    against grad_tol.  gm are the network's matrices if the caller has built
+    them already (and so validated net).
     """
-    model = _Transcription(net, traj, i)
+    model = _Transcription(net, traj, i, gm)
     u = model.minimize()
     gnorm = float(np.linalg.norm(model.gradient(u)))
     scale = max(1.0, float(np.linalg.norm(model.b)))
@@ -270,9 +270,10 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None) ->
     """
     if m is not None and m != len(traj.grid):
         raise ValueError(f"trajectory has {len(traj.grid)} samples, expected m={m}")
+    gm = build_matrices(net)
     worst = 0.0
     for i in range(traj.n):
-        res = best_response(net, traj, i)
+        res = best_response(net, traj, i, gm=gm)
         candidate_cost = res.cost + res.gap
         worst = max(worst, res.gap / max(1.0, candidate_cost))
     return worst

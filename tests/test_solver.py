@@ -2,17 +2,25 @@
 data and the equilibrium trajectories."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_uniform_net, leader_net, random_net
+import opiniongame.solver as solver_module
+from opiniongame.linalg import SingularMatrixError
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (assemble_system, initial_costate,
-                                kernel_cosh, kernel_coshm1, kernel_sinhc,
-                                solve_equilibrium, spectral_blocks,
+from opiniongame.solver import (_blocks, assemble_system, kernel_cosh,
+                                kernel_coshm1, kernel_sinhc, solve_equilibrium,
                                 spectral_data, transition_blocks)
+from opiniongame.verify import stationarity_check
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -129,6 +137,19 @@ def test_block_identities_on_random_networks():
                 1.0, np.max(np.abs(gm.W)))
 
 
+def spectral_blocks(sd, gm, t):
+    """Reference blocks from a real eigendecomposition W = V diag(l) V^-1:
+    phi11 = V diag(cosh(sqrt(l) t)) V^-1, phi12 = -V diag(sinh(sqrt(l) t)/sqrt(l)) V^-1,
+    psi12 = -V diag((cosh(sqrt(l) t)-1)/l) V^-1, phi21 = W phi12, phi22 = phi11,
+    psi22 = -phi12."""
+    lam = np.asarray(sd.lambdas, dtype=float)
+    V, Vinv = sd.V, sd.Vinv
+    phi11 = (V * np.array([kernel_cosh(l, t) for l in lam])) @ Vinv
+    phi12 = -(V * np.array([kernel_sinhc(l, t) for l in lam])) @ Vinv
+    psi12 = -(V * np.array([kernel_coshm1(l, t) for l in lam])) @ Vinv
+    return _blocks(t, phi11, phi12, gm.W @ phi12, phi11, psi12, -phi12, gm.k)
+
+
 def test_spectral_blocks_match_transition_blocks():
     cases = [
         complete_uniform_net(5, 1.5, 0.4, np.linspace(0.1, 0.9, 5), 3.0),
@@ -184,35 +205,159 @@ def test_spectral_data_none_for_complex_spectrum():
 
 
 # ---------------------------------------------------------------------------
-# initial costate
+# general route: one-step blocks, backward Riccati sweep, forward march
 
 
-def test_initial_costate_zero_for_decoupled_agents():
+def directed_net(rng, n, T, p=0.3, w_max=1.0):
+    """Random digraph plus a directed ring of heavier edges, which keeps the
+    spectrum complex, so route "auto" would take the general route too."""
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    w = rng.uniform(0.0, w_max, (n, n))
+    ring = (np.arange(n), (np.arange(n) + 1) % n)
+    mask[ring] = True
+    w[ring] = rng.uniform(w_max, 1.5 * w_max, n)
+    edges = {(int(i), int(j)): float(w[i, j]) for i, j in zip(*np.nonzero(mask))}
+    return InfluenceNetwork(n=n, edges=edges, k=rng.uniform(0.0, 0.5, n),
+                            x0=rng.uniform(0.0, 1.0, n), T=float(T))
+
+
+def symmetric_net(rng, n, T, p=0.5, w_max=2.0):
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    w = np.triu(rng.uniform(0.0, w_max, (n, n)), 1)
+    edges = {(int(i), int(j)): float(w[min(i, j), max(i, j)])
+             for i, j in zip(*np.nonzero(upper | upper.T))}
+    return InfluenceNetwork(n=n, edges=edges, k=rng.uniform(0.0, 1.0, n),
+                            x0=rng.uniform(0.0, 1.0, n), T=float(T))
+
+
+def exact_step_reference(net, m):
+    """The exact-step samples z_{k+1} = Phi(h) z_k + Psi(h) c, z = (x, p) and
+    c = (0, K x0), with x_0 = x0 and p_{m-1} = 0, solved as one global sparse
+    system; Phi and Psi come from one augmented expm of [[A, I], [0, 0]] h."""
+    W = build_matrices(net).W
+    n, h = net.n, net.T / (m - 1)
+    aug = np.zeros((4 * n, 4 * n))
+    aug[:n, n:2 * n] = -np.eye(n)
+    aug[n:2 * n, :n] = -W
+    aug[:2 * n, 2 * n:] = np.eye(2 * n)
+    E = scipy.linalg.expm(aug * h)
+    Phi, Psi = E[:2 * n, :2 * n], E[:2 * n, 2 * n:]
+    forcing = Psi @ np.concatenate([np.zeros(n), net.k * net.x0])
+    sp = scipy.sparse
+    steps = (sp.kron(sp.eye(m - 1, m, k=1), sp.eye(2 * n))
+             - sp.kron(sp.eye(m - 1, m), sp.csr_matrix(Phi)))
+    first = sp.hstack([sp.eye(n, 2 * n), sp.csr_matrix((n, 2 * n * (m - 1)))])
+    last = sp.hstack([sp.csr_matrix((n, 2 * n * m - n)), sp.eye(n)])
+    system = sp.vstack([first, steps, last]).tocsc()
+    rhs = np.concatenate([net.x0, np.tile(forcing, m - 1), np.zeros(n)])
+    z = scipy.sparse.linalg.spsolve(system, rhs).reshape(m, 2 * n)
+    return z[:, :n], z[:, n:]
+
+
+def test_general_route_zero_costate_for_decoupled_agents():
     net = InfluenceNetwork(n=3, edges={}, k=[0.0, 0.0, 0.0],
                            x0=[0.2, 0.5, 0.8], T=2.0)
-    gm = build_matrices(net)
-    bt = transition_blocks(assemble_system(gm), gm, net.T)
-    p0 = initial_costate(bt, net.x0)
-    np.testing.assert_allclose(p0, 0.0, atol=1e-14)
+    traj = solve_equilibrium(net, 101, route="general")
+    assert np.max(np.abs(traj.p)) <= 1e-14
 
 
-def test_initial_costate_zero_for_single_stubborn_agent():
+def test_general_route_zero_costate_for_single_stubborn_agent():
+    # x stays at x0, where the stubbornness pull vanishes, so p = 0 throughout
     net = InfluenceNetwork(n=1, edges={}, k=[0.8], x0=[0.4], T=3.0)
-    gm = build_matrices(net)
-    bt = transition_blocks(assemble_system(gm), gm, net.T)
-    p0 = initial_costate(bt, net.x0)
-    assert abs(p0[0]) < 1e-12
+    traj = solve_equilibrium(net, 101, route="general")
+    assert np.max(np.abs(traj.p)) <= 1e-12
+    assert np.max(np.abs(traj.x - 0.4)) <= 1e-12
 
 
-def test_initial_costate_round_trip_boundary():
+def test_general_route_terminal_costate():
     rng = np.random.default_rng(57)
     net = random_net(rng, n=6, T=2.0)
-    gm = build_matrices(net)
-    sys = assemble_system(gm)
-    btT = transition_blocks(sys, gm, net.T)
-    p0 = initial_costate(btT, net.x0)
-    pT = btT.zeta21 @ net.x0 + btT.zeta22 @ p0
-    assert np.max(np.abs(pT)) <= 1e-8
+    traj = solve_equilibrium(net, 101, route="general")
+    assert np.max(np.abs(traj.p[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("n, T, m", [(3, 1.0, 3), (6, 2.0, 101), (12, 5.0, 201),
+                                     (20, 20.0, 301), (50, 3.0, 101)])
+def test_general_route_matches_exact_step_reference(n, T, m):
+    rng = np.random.default_rng(n + m)
+    for net in (directed_net(rng, n, T), random_net(rng, n=n, T=T)):
+        traj = solve_equilibrium(net, m, route="general")
+        x_ref, p_ref = exact_step_reference(net, m)
+        assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
+        assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, T, m, kwargs", [
+    (30, 50.0, 501, {}),
+    (30, 5.0, 501, {"p": 0.45, "w_max": 2.0}),
+    (100, 2.0, 201, {}),
+])
+def test_general_route_solves_long_and_dense_instances(n, T, m, kwargs):
+    # shooting p(0) through zeta22(T)^{-1} refused all three
+    net = directed_net(np.random.default_rng(n), n, T, **kwargs)
+    assert spectral_data(build_matrices(net), classify_topology(net)) is None
+    traj = solve_equilibrium(net, m)
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.p))
+    assert all(r.passed for r in stationarity_check(net, traj))
+
+
+def test_general_route_holds_no_gain_per_sample():
+    n, m = 50, 2001
+    net = directed_net(np.random.default_rng(5), n, 2.0)
+    tracemalloc.start()
+    try:
+        solve_equilibrium(net, m, route="general")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every n x n gain of the sweep at once would take 8 m n^2 bytes (40 MB)
+    assert peak < m * n * n * 8
+
+
+def test_general_route_refuses_instead_of_crawling():
+    # weights near the float64 limit would need ~1e150 stable steps
+    net = InfluenceNetwork(n=2, edges={(0, 1): 1e300, (1, 0): 1e300},
+                           k=[0.0, 0.0], x0=[0.2, 0.7], T=1.0)
+    with pytest.raises(ArithmeticError, match="steps"):
+        solve_equilibrium(net, 11, route="general")
+
+
+@pytest.mark.parametrize("entry, message", [(0.0, "singular pivot"),
+                                            (np.nan, "non-finite")])
+def test_general_route_sweep_failures_are_typed(monkeypatch, entry, message):
+    # phi22 = 0 makes the first pivot exactly zero; a NaN block poisons the gains
+    def broken_blocks(sys, gm, t):
+        bt = transition_blocks(sys, gm, t)
+        phi22 = np.full_like(bt.phi22, entry) if entry == 0.0 else bt.phi22 + entry
+        return _blocks(t, bt.phi11, bt.phi12, bt.phi21, phi22, bt.psi12, bt.psi22, gm.k)
+
+    monkeypatch.setattr(solver_module, "transition_blocks", broken_blocks)
+    net = random_net(np.random.default_rng(8), n=4, T=1.0)
+    with pytest.raises(SingularMatrixError, match=message):
+        solve_equilibrium(net, 21, route="general")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+       T=st.floats(0.1, 60.0), m=st.integers(2, 120))
+def test_general_route_boundary_conditions_property(seed, n, T, m):
+    net = directed_net(np.random.default_rng(seed), n, T, w_max=2.0)
+    traj = solve_equilibrium(net, m, route="general")
+    assert np.array_equal(traj.x[0], net.x0)
+    assert np.max(np.abs(traj.p[-1])) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       T=st.floats(0.1, 60.0), m=st.integers(2, 120))
+def test_routes_agree_on_symmetric_nets_property(seed, n, T, m):
+    net = symmetric_net(np.random.default_rng(seed), n, T)
+    a = solve_equilibrium(net, m, route="spectral")
+    b = solve_equilibrium(net, m, route="general")
+    scale = max(1.0, float(np.max(np.abs(a.p))))
+    assert np.max(np.abs(a.x - b.x)) <= 1e-10
+    assert np.max(np.abs(a.p - b.p)) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +448,24 @@ def test_initial_condition_linearity():
     assert np.max(np.abs(tab.x - ta.x - tb.x)) <= 1e-10
 
 
-def test_stiff_instance_requires_spectral_route(fig1b_net):
-    # cosh(sqrt(20.2) * 5) ~ 3e9 already wipes out the 1e-8 boundary
-    # tolerance on the general route; the spectral route stays exact
-    with pytest.raises(ArithmeticError):
-        solve_equilibrium(fig1b_net, 51, route="general")
-    traj = solve_equilibrium(fig1b_net, 51, route="spectral")
-    assert np.max(np.abs(traj.p[-1])) <= 1e-12
+def test_stiff_instance_solves_on_both_routes(fig1b_net):
+    # cosh(sqrt(20.2) * 5) ~ 3e9 wiped out the boundary tolerance when the
+    # general route shot p(0) across the horizon; the sweep only takes steps
+    spectral = solve_equilibrium(fig1b_net, 51, route="spectral")
+    general = solve_equilibrium(fig1b_net, 51, route="general")
+    assert np.max(np.abs(spectral.p[-1])) <= 1e-12
+    assert np.max(np.abs(general.x - spectral.x)) <= 1e-12
+    assert np.max(np.abs(general.p - spectral.p)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_general_route_accurate_on_coarse_grids(fig1b_net, m):
+    # one grid step of 1 to 5 time units grows by up to e^30; the route cuts
+    # it into substeps so neither the sweep nor the forward march cancels
+    spectral = solve_equilibrium(fig1b_net, m, route="spectral")
+    general = solve_equilibrium(fig1b_net, m, route="general")
+    assert np.max(np.abs(general.x - spectral.x)) <= 1e-12
+    assert np.max(np.abs(general.p - spectral.p)) <= 1e-12
 
 
 def test_solver_rejects_tiny_grid(fig1b_net):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_net
+import opiniongame.network as network_module
 import opiniongame.verify as verify_module
 from opiniongame.cli import PRESETS, constant_candidate
 from opiniongame.network import InfluenceNetwork
@@ -281,6 +282,31 @@ def test_verifier_forms_no_dense_matrix(fig1b_net, monkeypatch):
         tracemalloc.stop()
     # one m x m float array alone would take 8 m^2 bytes (32 MB here)
     assert peak < m * m
+
+
+def test_verifier_validates_network_once_per_call(fig1b_net, monkeypatch):
+    traj = solve_equilibrium(fig1b_net, 201)
+    calls = []
+    original = network_module.validate
+    monkeypatch.setattr(network_module, "validate",
+                        lambda net: calls.append(net) or original(net))
+    nash_residual(fig1b_net, traj)
+    assert len(calls) == 1
+    deviation_test(fig1b_net, traj, 3, count=5, seed=0)
+    assert len(calls) == 2
+
+
+def test_verifier_rejects_invalid_network(fig1b_net):
+    traj = solve_equilibrium(fig1b_net, 201)
+    bad = InfluenceNetwork(n=10, edges=fig1b_net.edges, k=[-0.2] + [0.2] * 9,
+                           x0=fig1b_net.x0, T=fig1b_net.T)
+    message = "invalid network: negative stubbornness k\\[1\\] = -0.2"
+    with pytest.raises(ValueError, match=message):
+        nash_residual(bad, traj)
+    with pytest.raises(ValueError, match=message):
+        best_response(bad, traj, 0)
+    with pytest.raises(ValueError, match=message):
+        deviation_test(bad, traj, 0, count=5, seed=0)
 
 
 def test_nash_residual_checks_grid(fig1b_net):
