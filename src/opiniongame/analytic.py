@@ -11,6 +11,9 @@ shrinking coefficient
 Single leader: the leader holds its opinion; follower i mixes its own and
 the leader's initial opinions with xi_i(t) = (w_i1/l_i) cosh(sqrt(l_i)(T-t))
 / cosh(sqrt(l_i) T) and l_i = k_i + w_i1.
+
+Both trajectory functions take a scalar or an array t and return opinions of
+shape t.shape + (n,), so a whole grid costs one call.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ def complete_trajectory(p: CompleteUniformParams, x0, t) -> np.ndarray:
     """x_i(t) = avg(x0) + gamma(t) (x0_i - avg(x0)); the mean never moves."""
     x0 = _check_x0(p.n, x0)
     avg = x0.mean()
-    return avg + gamma(p, t) * (x0 - avg)
+    return avg + np.asarray(gamma(p, t))[..., None] * (x0 - avg)
 
 
 def complete_limit(p: CompleteUniformParams, x0) -> np.ndarray:
@@ -163,41 +166,20 @@ def leader_trajectory(p: LeaderParams, x0, t) -> np.ndarray:
     """x_1(t) = x0_1; x_i(t) = (k_i x0_i + w_i1 x0_1)/l_i + xi_i(t)(x0_i - x0_1)."""
     _check_time(p.T, t)
     x0 = _check_x0(p.n, x0)
-    out = np.empty(p.n)
-    out[0] = x0[0]
+    out = np.broadcast_to(leader_limit(p, x0), np.shape(t) + (p.n,)).copy()
     for i in range(1, p.n):
-        li = p.lam[i]
-        if li == 0.0:
-            out[i] = x0[i]
-            continue
-        out[i] = (p.k[i] * x0[i] + p.w1[i] * x0[0]) / li + _xi(p, i, t) * (x0[i] - x0[0])
+        if p.lam[i] != 0.0:
+            out[..., i] += _xi(p, i, t) * (x0[i] - x0[0])
     return out
-
-
-def leader_row_weights(p: LeaderParams, i, t):
-    """(rho_i, sigma_i) with x_i(t) = rho_i(t) x0_1 + sigma_i(t) x0_i.
-
-    rho_i = w_i1/q_i - xi_i and sigma_i = k_i/q_i + xi_i, where q_i = l_i;
-    the pair always sums to one.
-    """
-    if i < 1 or i >= p.n:
-        raise ValueError("follower index must be in 1..n-1")
-    li = p.lam[i]
-    if li == 0.0:
-        return 0.0, 1.0
-    xi = float(_xi(p, i, t))
-    return p.w1[i] / li - xi, p.k[i] / li + xi
 
 
 def leader_limit(p: LeaderParams, x0) -> np.ndarray:
     """Long-run opinions: the leader keeps x0_1, follower i settles at the
     convex combination (k_i x0_i + w_i1 x0_1)/l_i."""
     x0 = _check_x0(p.n, x0)
-    out = np.empty(p.n)
-    out[0] = x0[0]
-    for i in range(1, p.n):
-        li = p.lam[i]
-        out[i] = x0[i] if li == 0.0 else (p.k[i] * x0[i] + p.w1[i] * x0[0]) / li
+    out = x0.copy()
+    f = np.flatnonzero(p.lam[1:]) + 1  # followers that move at all
+    out[f] = (p.k[f] * x0[f] + p.w1[f] * x0[0]) / p.lam[f]
     return out
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from . import analytic
 from .linalg import SingularMatrixError
 from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
-                      classify_topology, network_from_dict, network_to_dict,
-                      validate)
+                      build_matrices, classify_topology, network_from_dict,
+                      network_to_dict, validate)
 from .solver import EquilibriumTrajectory, solve_equilibrium
 from .verify import (deviation_test, evaluate_cost, nash_residual,
                      stationarity_check)
@@ -205,15 +205,15 @@ def write_trajectory_csv(path, traj: EquilibriumTrajectory, costate=False):
     """t,x1,...,xn rows at 17 significant digits; optional p columns."""
     n = traj.n
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
+    table = [traj.grid[:, None], traj.x]
     if costate:
         header += [f"p{i + 1}" for i in range(n)]
-    rows = [",".join(header)]
-    for idx in range(len(traj.grid)):
-        vals = [traj.grid[idx]] + list(traj.x[idx])
-        if costate:
-            vals += list(traj.p[idx])
-        rows.append(",".join(f"{v:.17g}" for v in vals))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        table.append(traj.p)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for values in np.hstack(table):
+            fh.write(row % tuple(values.tolist()))
 
 
 def _gnuplot_script(csv_name, n, title):
@@ -235,13 +235,11 @@ def closed_form_deviation(net: InfluenceNetwork, traj: EquilibriumTrajectory):
     topo = classify_topology(net)
     try:
         if isinstance(topo, CompleteUniform):
-            params = analytic.complete_params(net)
-            ref = np.array([analytic.complete_trajectory(params, net.x0, t)
-                            for t in traj.grid])
+            ref = analytic.complete_trajectory(analytic.complete_params(net),
+                                               net.x0, traj.grid)
         elif isinstance(topo, SingleLeader):
-            params = analytic.leader_params(net)
-            ref = np.array([analytic.leader_trajectory(params, net.x0, t)
-                            for t in traj.grid])
+            ref = analytic.leader_trajectory(analytic.leader_params(net),
+                                             net.x0, traj.grid)
         else:
             return None
     except ValueError:
@@ -250,21 +248,27 @@ def closed_form_deviation(net: InfluenceNetwork, traj: EquilibriumTrajectory):
     return float(np.max(np.abs(ref - traj.x)))
 
 
+def _check_samples(m):
+    """Simpson costs need an odd count >= 3; fail before any solve or write."""
+    if m < 3 or m % 2 == 0:
+        raise CliInputError(f"--samples must be odd and >= 3 (Simpson quadrature), got {m}")
+
+
 def cmd_simulate(net: InfluenceNetwork, m: int, out_dir, costate=False) -> RunReport:
+    _check_samples(m)
     traj = solve_equilibrium(net, m)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{net.name or 'scenario'}.csv"
     write_trajectory_csv(csv_path, traj, costate=costate)
-    report = RunReport(
+    return RunReport(
         scenario=net.name or "scenario",
         samples=m,
         trajectory_path=str(csv_path),
-        costs=[evaluate_cost(net, traj, i) for i in range(traj.n)],
+        costs=evaluate_cost(net, traj),
         terminal=traj.x[-1].copy(),
         closed_form_error=closed_form_deviation(net, traj),
     )
-    return report
 
 
 def constant_candidate(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
@@ -278,6 +282,7 @@ def constant_candidate(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
 
 def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
                candidate=None, residual_tol=None, deviation_tol=1e-9) -> RunReport:
+    _check_samples(m)
     if residual_tol is None:
         # certification tolerance tied to h^2; 1e-6 at the default grid
         # (m = 501 over T = 5)
@@ -287,9 +292,10 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
         traj = constant_candidate(net, m)
     else:
         traj = solve_equilibrium(net, m)
-    residual = nash_residual(net, traj)
-    reports = stationarity_check(net, traj)
-    deviations = [deviation_test(net, traj, i, count, seed + i, tol=deviation_tol)
+    gm = build_matrices(net)
+    residual = nash_residual(net, traj, gm=gm)
+    reports = stationarity_check(net, traj, gm=gm)
+    deviations = [deviation_test(net, traj, i, count, seed + i, tol=deviation_tol, gm=gm)
                   for i in range(traj.n)]
     passed = (residual <= residual_tol
               and all(r.passed for r in reports)

@@ -115,23 +115,20 @@ def cumulative_trapezoid_matrix(m: int, h: float) -> np.ndarray:
     return L
 
 
-def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -> CostBreakdown:
-    """Composite-Simpson quadrature of agent i's three cost terms."""
-    h = _grid_step(traj.grid)
-    s = simpson_weights(len(traj.grid), h)
-    xi = traj.x[:, i]
-    influence = np.zeros(len(xi))
+def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int | None = None):
+    """Composite-Simpson quadrature of agent i's three cost terms, or a list
+    of every agent's when i is None.  One pass over the edges adds each term
+    to its source's row in edge order, as if that agent were costed alone."""
+    s = simpson_weights(len(traj.grid), _grid_step(traj.grid))
+    x = np.ascontiguousarray(traj.x.T)
+    terms = np.zeros((3,) + x.shape)  # influence, stubbornness, control rows
     for (a, j), w in net.edges.items():
-        if a == i:
-            influence += w * (xi - traj.x[:, j]) ** 2
-    stubborn = net.k[i] * (xi - net.x0[i]) ** 2
-    control = traj.u[:, i] ** 2
-    return CostBreakdown(
-        agent=i,
-        influence_term=0.5 * float(s @ influence),
-        stubbornness_term=0.5 * float(s @ stubborn),
-        control_term=0.5 * float(s @ control),
-    )
+        terms[0, a] += w * (x[a] - x[j]) ** 2
+    terms[1] = net.k[:, None] * (x - net.x0[:, None]) ** 2
+    terms[2] = traj.u.T ** 2
+    costs = [CostBreakdown(a, *(0.5 * float(s @ row) for row in terms[:, a]))
+             for a in range(traj.n)]
+    return costs if i is None else costs[i]
 
 
 def quadratic_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -> float:
@@ -256,7 +253,8 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
                               cost=cost, gap=gap, gradient_norm=gnorm)
 
 
-def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None) -> float:
+def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None, *,
+                  gm: GameMatrices | None = None) -> float:
     """Worst relative best-response improvement over all agents.
 
     Zero (up to discretization) certifies the open-loop Nash property: no
@@ -270,7 +268,7 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None) ->
     """
     if m is not None and m != len(traj.grid):
         raise ValueError(f"trajectory has {len(traj.grid)} samples, expected m={m}")
-    gm = build_matrices(net)
+    gm = build_matrices(net) if gm is None else gm
     worst = 0.0
     for i in range(traj.n):
         res = best_response(net, traj, i, gm=gm)
@@ -280,14 +278,15 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None) ->
 
 
 def stationarity_check(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
-                       control_tol=1e-12, boundary_tol=1e-8) -> list[StationarityReport]:
+                       control_tol=1e-12, boundary_tol=1e-8,
+                       gm: GameMatrices | None = None) -> list[StationarityReport]:
     """First-order optimality residuals per agent.
 
     The costate equation is checked with central differences; its tolerance
     is the truncation bound (h^2/6) max |p'''| with p''' = W(K x0 - W x)
     evaluated along the trajectory, padded by a small safety factor.
     """
-    gm = build_matrices(net)
+    gm = build_matrices(net) if gm is None else gm
     grid = traj.grid
     h = _grid_step(grid)
     x, p, u = traj.x, traj.p, traj.u
@@ -315,7 +314,8 @@ def stationarity_check(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
 
 def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
                    count: int, seed: int, *,
-                   amplitudes=(1e-3, 1e-2, 1e-1), tol=1e-9):
+                   amplitudes=(1e-3, 1e-2, 1e-1), tol=1e-9,
+                   gm: GameMatrices | None = None):
     """Monte-Carlo probe of the no-profitable-deviation property for agent i.
 
     Draws `count` band-limited perturbations (random low-order Fourier sums,
@@ -329,7 +329,7 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    model = _Transcription(net, traj, i)
+    model = _Transcription(net, traj, i, gm)
     u_base = traj.u[:, i]
     base_cost = model.cost(u_base[None])[0]
     coef = np.random.default_rng(seed).standard_normal((count, 2, 6))

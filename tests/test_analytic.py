@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import X0_LADDER, complete_uniform_net
+import opiniongame.analytic as analytic_module
 from opiniongame.analytic import (CompleteUniformParams, LeaderParams,
                                   complete_limit, complete_pairwise_distance,
                                   complete_params, complete_trajectory,
                                   epsilon_consensus_time, gamma,
                                   leader_consensus_time, leader_distance,
                                   leader_limit, leader_params,
-                                  leader_row_weights, leader_trajectory)
-from opiniongame.solver import solve_equilibrium
+                                  leader_trajectory)
+from opiniongame.cli import PRESETS, closed_form_deviation
+from opiniongame.solver import cosh_ratio, solve_equilibrium
 
 FIG1B = CompleteUniformParams(n=10, w=2.0, k=0.2, T=5.0)
 
@@ -192,6 +194,19 @@ def test_leader_trajectory_matches_solver(fig2b_net):
     assert np.max(np.abs(ref - traj.x)) <= 1e-8
 
 
+def leader_row_weights(p, i, t):
+    """(rho_i, sigma_i) with x_i(t) = rho_i(t) x0_1 + sigma_i(t) x0_i.
+
+    rho_i = w_i1/l_i - xi_i and sigma_i = k_i/l_i + xi_i; the pair always
+    sums to one.  A second form of leader_trajectory's row i.
+    """
+    li = p.lam[i]
+    if li == 0.0:
+        return 0.0, 1.0
+    xi = (p.w1[i] / li) * float(cosh_ratio(li, p.T - t, p.T))
+    return p.w1[i] / li - xi, p.k[i] / li + xi
+
+
 def test_leader_row_weights_equivalent_form():
     # x_i = rho_i x0_1 + sigma_i x0_i must reproduce the direct formula,
     # and the weights always sum to one
@@ -258,3 +273,79 @@ def test_indifferent_follower_convention():
         assert leader_trajectory(p, x0, t)[1] == x0[1]
     assert leader_limit(p, x0)[1] == x0[1]
     assert leader_distance(p, 1, x0, 1.5) == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# array times: one call over a whole grid
+
+
+def stacked_scalar_calls(fn, p, x0, ts):
+    return np.array([fn(p, x0, t) for t in ts])
+
+
+def preset_closed_form(name):
+    net = PRESETS[name].network
+    if name.startswith("fig1"):
+        return complete_trajectory, complete_params(net), net.x0
+    return leader_trajectory, leader_params(net), net.x0
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2b", "fig2c"])
+@pytest.mark.parametrize("m", [2, 3, 10, 201, 2001])
+def test_array_time_matches_stacked_scalar_calls(name, m):
+    fn, p, x0 = preset_closed_form(name)
+    ts = np.linspace(0.0, p.T, m)
+    out = fn(p, x0, ts)
+    assert out.shape == (m, p.n)
+    assert np.array_equal(out, stacked_scalar_calls(fn, p, x0, ts))
+
+
+def test_leader_array_time_with_indifferent_follower():
+    # follower 2 has lam = k + w1 = 0 and is pinned to its own opinion
+    p = LeaderParams(k=np.array([0.3, 0.0, 0.5, 0.2]),
+                     w1=np.array([0.0, 0.0, 1.0, 0.7]), T=3.0)
+    x0 = np.array([0.9, 0.1, 0.4, 0.6])
+    ts = np.linspace(0.0, p.T, 301)
+    out = leader_trajectory(p, x0, ts)
+    assert np.array_equal(out, stacked_scalar_calls(leader_trajectory, p, x0, ts))
+    assert np.all(out[:, 1] == x0[1]) and np.all(out[:, 0] == x0[0])
+
+
+def test_leader_array_time_on_stiff_star():
+    p = LeaderParams(k=np.array([0.3, 0.1, 0.5, 0.2]),
+                     w1=np.array([0.0, 400.0, 1000.0, 0.7]), T=3.0)
+    assert np.sqrt(p.lam[2]) * p.T > 30.0  # exponential-form branch of cosh_ratio
+    x0 = np.array([0.9, 0.1, 0.4, 0.6])
+    ts = np.linspace(0.0, p.T, 301)
+    out = leader_trajectory(p, x0, ts)
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out, stacked_scalar_calls(leader_trajectory, p, x0, ts))
+
+
+def test_scalar_time_returns_agent_vector():
+    for fn, p, x0 in (preset_closed_form("fig1b"), preset_closed_form("fig2c")):
+        assert fn(p, x0, 1.25).shape == (p.n,)
+        assert fn(p, x0, np.float64(p.T)).shape == (p.n,)
+        assert fn(p, x0, np.array([[0.0, 1.0], [2.0, 3.0]])).shape == (2, 2, p.n)
+
+
+@pytest.mark.parametrize("bad", [-0.5, 5.5])
+def test_array_time_with_one_entry_out_of_range_raises(bad):
+    for fn, p, x0 in (preset_closed_form("fig1b"), preset_closed_form("fig2b")):
+        ts = np.linspace(0.0, p.T, 11)
+        ts[4] = bad
+        with pytest.raises(ValueError, match="t must lie in"):
+            fn(p, x0, ts)
+
+
+@pytest.mark.parametrize("name, fn_name", [("fig1c", "complete_trajectory"),
+                                           ("fig2b", "leader_trajectory")])
+def test_closed_form_deviation_makes_one_call(name, fn_name, monkeypatch):
+    net = PRESETS[name].network
+    traj = solve_equilibrium(net, 201)
+    calls = []
+    original = getattr(analytic_module, fn_name)
+    monkeypatch.setattr(analytic_module, fn_name,
+                        lambda *args: calls.append(args) or original(*args))
+    assert closed_form_deviation(net, traj) <= 1e-8
+    assert len(calls) == 1 and np.array_equal(calls[0][2], traj.grid)

@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 
 import opiniongame
+import opiniongame.cli as cli_module
+import opiniongame.network as network_module
 from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED,
-                             EXIT_VERIFY_FAILED, PRESETS, cmd_figures,
-                             cmd_simulate, get_preset, load_scenario, main,
-                             save_scenario)
+                             EXIT_VERIFY_FAILED, PRESETS, CliInputError,
+                             cmd_figures, cmd_simulate, cmd_verify, get_preset,
+                             load_scenario, main, save_scenario,
+                             write_trajectory_csv)
 from opiniongame.network import (CompleteUniform, SingleLeader,
                                  classify_topology)
+from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
 
 
 def test_presets_match_expected_parameterizations():
@@ -202,3 +206,97 @@ def test_scenario_with_warning_still_runs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == EXIT_OK
     assert "outside [0, 1]" in captured.err
+
+
+def per_value_csv(path, traj, costate=False):
+    """Reference writer: one f-string per value, rows joined in memory."""
+    n = traj.n
+    header = ["t"] + [f"x{i + 1}" for i in range(n)]
+    if costate:
+        header += [f"p{i + 1}" for i in range(n)]
+    rows = [",".join(header)]
+    for idx in range(len(traj.grid)):
+        vals = [traj.grid[idx]] + list(traj.x[idx])
+        if costate:
+            vals += list(traj.p[idx])
+        rows.append(",".join(f"{v:.17g}" for v in vals))
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def assert_same_csv_bytes(tmp_path, traj, costate):
+    write_trajectory_csv(tmp_path / "new.csv", traj, costate=costate)
+    per_value_csv(tmp_path / "ref.csv", traj, costate=costate)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("costate", [False, True])
+def test_csv_writer_matches_per_value_reference(tmp_path, name, costate):
+    traj = solve_equilibrium(PRESETS[name].network, 201)
+    assert_same_csv_bytes(tmp_path, traj, costate)
+
+
+@pytest.mark.parametrize("costate", [False, True])
+def test_csv_writer_single_agent_two_samples(tmp_path, costate):
+    x = np.array([[0.4], [0.3]])
+    traj = EquilibriumTrajectory(grid=np.array([0.0, 2.0]), x=x, p=np.array([[0.1], [0.0]]),
+                                 u=np.array([[-0.1], [-0.0]]))
+    assert_same_csv_bytes(tmp_path, traj, costate)
+    assert (tmp_path / "new.csv").read_text().splitlines()[0] == (
+        "t,x1,p1" if costate else "t,x1")
+
+
+@pytest.mark.parametrize("costate", [False, True])
+def test_csv_writer_special_values(tmp_path, costate):
+    x = np.array([[-0.0, 1e-300, 1e300], [3.0, -7.0, 0.0], [1e16, 2.0 ** 60, 0.1]])
+    p = np.array([[-1e-300, -1e300, 5.0], [0.0, -0.0, 1.0 / 3.0], [-2.0, 1e-5, 123456789.0]])
+    traj = EquilibriumTrajectory(grid=np.array([0.0, 0.5, 1.0]), x=x, p=p, u=-p)
+    assert_same_csv_bytes(tmp_path, traj, costate)
+    row = (tmp_path / "new.csv").read_text().splitlines()[1]
+    assert row.startswith("0,-0,1e-300,1.0000000000000001e+300")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("samples", ["500", "2", "1", "0", "-3"])
+def test_bad_sample_count_fails_before_solving(tmp_path, capsys, monkeypatch,
+                                               command, samples):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --samples")
+
+    monkeypatch.setattr(cli_module, "solve_equilibrium", no_solve)
+    argv = [command, "--preset", "fig1b", "--samples", samples]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--samples must be odd and >= 3" in err and f"got {samples}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_sample_count_rejected_by_library_calls(tmp_path):
+    net = PRESETS["fig2b"].network
+    with pytest.raises(CliInputError, match="--samples"):
+        cmd_simulate(net, 500, tmp_path)
+    with pytest.raises(CliInputError, match="--samples"):
+        cmd_verify(net, 2, count=5, seed=0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figures_accepts_any_sample_count(tmp_path):
+    assert main(["figures", "--which", "fig1b", "--samples", "2",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert len((tmp_path / "fig1b.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("candidate, want", [(None, 2), ("constant", 1)])
+def test_verify_validates_network_once_beyond_the_solver(monkeypatch, candidate, want):
+    # one validation in solve_equilibrium (skipped for the constant
+    # candidate) and one for the matrices shared by every verifier call
+    calls = []
+    original = network_module.validate
+    monkeypatch.setattr(network_module, "validate",
+                        lambda net: calls.append(net) or original(net))
+    report = cmd_verify(PRESETS["fig2b"].network, 301, count=5, seed=0,
+                        candidate=candidate)
+    assert report.passed == (candidate is None)
+    assert len(calls) == want

@@ -12,7 +12,7 @@ from conftest import random_net
 import opiniongame.network as network_module
 import opiniongame.verify as verify_module
 from opiniongame.cli import PRESETS, constant_candidate
-from opiniongame.network import InfluenceNetwork
+from opiniongame.network import InfluenceNetwork, build_matrices
 from opiniongame.solver import solve_equilibrium
 from opiniongame.verify import (_Transcription, best_response,
                                 cumulative_trapezoid_matrix, deviation_test,
@@ -131,6 +131,34 @@ def test_quadratic_cost_matches_row_loop(fig2b_net):
                           traj.x[row, i] - net.x0[i])
             total += s[row] * (z @ (G * z) + traj.u[row, i] ** 2)
         assert quadratic_cost(net, traj, i) == pytest.approx(0.5 * total, rel=1e-13)
+
+
+def per_agent_cost(net, traj, i):
+    """Reference: agent i's terms from a full walk over every edge."""
+    s = simpson_weights(len(traj.grid), traj.grid[1] - traj.grid[0])
+    xi = traj.x[:, i]
+    influence = np.zeros(len(xi))
+    for (a, j), w in net.edges.items():
+        if a == i:
+            influence += w * (xi - traj.x[:, j]) ** 2
+    stubborn = net.k[i] * (xi - net.x0[i]) ** 2
+    control = traj.u[:, i] ** 2
+    return (0.5 * float(s @ influence), 0.5 * float(s @ stubborn),
+            0.5 * float(s @ control))
+
+
+@pytest.mark.parametrize("case", ["fig1b", "fig3b", "random"])
+@pytest.mark.parametrize("m", [3, 35, 201, 2001])
+def test_all_agent_costs_match_per_agent_reference_exactly(case, m):
+    net = (random_net(np.random.default_rng(17), n=9, T=2.0) if case == "random"
+           else PRESETS[case].network)
+    traj = solve_equilibrium(net, m)
+    costs = evaluate_cost(net, traj)
+    assert [c.agent for c in costs] == list(range(net.n))
+    for i, c in enumerate(costs):
+        terms = (c.influence_term, c.stubbornness_term, c.control_term)
+        assert terms == per_agent_cost(net, traj, i)
+        assert evaluate_cost(net, traj, i) == c
 
 
 def test_leader_cost_is_zero(fig2b_net):
@@ -307,6 +335,30 @@ def test_verifier_rejects_invalid_network(fig1b_net):
         best_response(bad, traj, 0)
     with pytest.raises(ValueError, match=message):
         deviation_test(bad, traj, 0, count=5, seed=0)
+
+
+def test_verifier_reuses_given_matrices(fig1b_net, monkeypatch):
+    traj = solve_equilibrium(fig1b_net, 201)
+    gm = build_matrices(fig1b_net)
+    expected = (nash_residual(fig1b_net, traj), stationarity_check(fig1b_net, traj),
+                deviation_test(fig1b_net, traj, 3, count=5, seed=0))
+    calls = []
+    original = network_module.validate
+    monkeypatch.setattr(network_module, "validate",
+                        lambda net: calls.append(net) or original(net))
+    got = (nash_residual(fig1b_net, traj, gm=gm), stationarity_check(fig1b_net, traj, gm=gm),
+           deviation_test(fig1b_net, traj, 3, count=5, seed=0, gm=gm))
+    assert calls == [] and got == expected
+    stationarity_check(fig1b_net, traj)
+    assert len(calls) == 1
+
+
+def test_stationarity_check_rejects_invalid_network(fig1b_net):
+    traj = solve_equilibrium(fig1b_net, 201)
+    bad = InfluenceNetwork(n=10, edges=fig1b_net.edges, k=[-0.2] + [0.2] * 9,
+                           x0=fig1b_net.x0, T=fig1b_net.T)
+    with pytest.raises(ValueError, match="invalid network: negative stubbornness k\\[1\\] = -0.2"):
+        stationarity_check(bad, traj)
 
 
 def test_nash_residual_checks_grid(fig1b_net):
