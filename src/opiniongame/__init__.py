@@ -6,12 +6,11 @@ from .analytic import (CompleteUniformParams, LeaderParams, complete_limit,
                        complete_trajectory, epsilon_consensus_time, gamma,
                        leader_distance, leader_limit, leader_params,
                        leader_trajectory)
-from .linalg import (SingularMatrixError, exp_with_integral,
-                     matrix_exponential, solve_linear)
+from .linalg import SingularMatrixError, exp_with_integral, solve_linear
 from .network import (CompleteUniform, Diagnostic, GameMatrices, General,
                       InfluenceNetwork, SingleLeader, build_matrices,
-                      classify_topology, is_valid, network_from_dict,
-                      network_to_dict, validate)
+                      classify_topology, network_from_dict, network_to_dict,
+                      validate)
 from .solver import (BlockTransition, EquilibriumTrajectory, SpectralData,
                      StateCostateSystem, assemble_system, kernel_cosh,
                      kernel_coshm1, kernel_sinhc, solve_equilibrium,

@@ -283,6 +283,8 @@ def constant_candidate(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
 def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
                candidate=None, residual_tol=None, deviation_tol=1e-9) -> RunReport:
     _check_samples(m)
+    if count < 1:
+        raise CliInputError(f"--count must be >= 1, got {count}")
     if residual_tol is None:
         # certification tolerance tied to h^2; 1e-6 at the default grid
         # (m = 501 over T = 5)

@@ -28,20 +28,6 @@ def _as_square(M):
     return A
 
 
-def matrix_exponential(M, t):
-    """Compute e^{M t} by scaling-and-squaring with a Pade approximant.
-
-    Delegates to scipy.linalg.expm, which implements the order-13 rational
-    approximation; accurate to ~1e-13 relative for well-conditioned inputs.
-    """
-    A = _as_square(M)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if t == 0.0:
-        return np.eye(A.shape[0])
-    return scipy.linalg.expm(A * t)
-
-
 def exp_with_integral(M, t):
     """Return (e^{Mt}, int_0^t e^{M(t-tau)} dtau) from one augmented exponential.
 
@@ -49,8 +35,8 @@ def exp_with_integral(M, t):
     sidesteps inverting M and works for singular or defective inputs.
     """
     A = _as_square(M)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError("t must be finite and nonnegative")
     m = A.shape[0]
     if t == 0.0:
         return np.eye(m), np.zeros((m, m))

@@ -136,10 +136,6 @@ def validate(net: InfluenceNetwork) -> list[Diagnostic]:
     return out
 
 
-def is_valid(net: InfluenceNetwork) -> bool:
-    return not any(d.severity == "error" for d in validate(net))
-
-
 def build_matrices(net: InfluenceNetwork) -> GameMatrices:
     """Assemble W (Laplacian-like), k and the diagonal q from a network."""
     errors = [d for d in validate(net) if d.severity == "error"]

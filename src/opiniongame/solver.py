@@ -8,9 +8,12 @@ problem
 with x(0) = x0 fixed and p(T) = 0 free-endpoint.  Two evaluation routes are
 provided:
 
-* a general route, exact for arbitrary W, that sweeps the costate gain
-  p = P x + r back from p(T) = 0 over the exact one-step transition blocks
-  and marches x forward from x0, stable at any horizon;
+* a general route, exact for arbitrary W and stable at any horizon: it
+  sweeps the costate gain p = P x + r back from p(T) = 0 over segments that
+  grow by at most about e, marches x forward from x0 with p reset at each
+  segment start, and fills in the grid points inside all segments at once;
+  the state that the fine steps carry to each segment's end must match the
+  next segment's start to the boundary tolerance;
 * a spectral route used whenever W has a trustworthy real eigendecomposition,
   which collapses the block formula to per-mode cosh/sinh ratios.  The ratios
   are evaluated in exponential-difference form, so this route stays accurate
@@ -154,18 +157,15 @@ def _coshm1_gap_over_cosh(lam, a, b):
 
 @dataclass(frozen=True)
 class StateCostateSystem:
-    """The stacked 2n x 2n system matrices A = [[0,-I],[-W,0]], Khat = [[0,0],[K,0]]."""
+    """The stacked 2n x 2n system matrix A = [[0,-I],[-W,0]]."""
 
     A: np.ndarray
-    Khat: np.ndarray
     n: int
 
 
 @dataclass(frozen=True)
 class BlockTransition:
-    """n x n partitions of Phi(t) = e^{At}, Psi(t) = int_0^t e^{A s} ds and the
-    zeta blocks zeta11 = phi11 + psi12 K, zeta12 = phi12,
-    zeta21 = phi21 + psi22 K, zeta22 = phi22."""
+    """n x n partitions of Phi(t) = e^{At} and Psi(t) = int_0^t e^{A s} ds."""
 
     t: float
     phi11: np.ndarray
@@ -174,10 +174,6 @@ class BlockTransition:
     phi22: np.ndarray
     psi12: np.ndarray
     psi22: np.ndarray
-    zeta11: np.ndarray
-    zeta12: np.ndarray
-    zeta21: np.ndarray
-    zeta22: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -220,34 +216,17 @@ def assemble_system(gm: GameMatrices) -> StateCostateSystem:
     A = np.zeros((2 * n, 2 * n))
     A[:n, n:] = -np.eye(n)
     A[n:, :n] = -gm.W
-    Khat = np.zeros((2 * n, 2 * n))
-    Khat[n:, :n] = np.diag(gm.k)
-    return StateCostateSystem(A=A, Khat=Khat, n=n)
-
-
-def _blocks(t, phi11, phi12, phi21, phi22, psi12, psi22, k):
-    # zeta = Phi + Psi Khat restricted to the blocks Khat actually touches;
-    # right-multiplying by diag(k) scales columns.
-    return BlockTransition(
-        t=float(t),
-        phi11=phi11, phi12=phi12, phi21=phi21, phi22=phi22,
-        psi12=psi12, psi22=psi22,
-        zeta11=phi11 + psi12 * k,
-        zeta12=phi12,
-        zeta21=phi21 + psi22 * k,
-        zeta22=phi22,
-    )
+    return StateCostateSystem(A=A, n=n)
 
 
 def transition_blocks(sys: StateCostateSystem, gm: GameMatrices, t) -> BlockTransition:
     """Partition e^{At} and its running integral into the n x n blocks."""
     Phi, Psi = exp_with_integral(sys.A, t)
     n = sys.n
-    return _blocks(
-        t,
-        Phi[:n, :n], Phi[:n, n:], Phi[n:, :n], Phi[n:, n:],
-        Psi[:n, n:], Psi[n:, n:],
-        gm.k,
+    return BlockTransition(
+        t=float(t),
+        phi11=Phi[:n, :n], phi12=Phi[:n, n:], phi21=Phi[n:, :n], phi22=Phi[n:, n:],
+        psi12=Psi[:n, n:], psi22=Psi[n:, n:],
     )
 
 
@@ -326,34 +305,47 @@ def spectral_data(gm: GameMatrices, topology=None, *,
 # trajectory propagation
 
 
-def _propagate_general(gm, x0, grid):
-    """Invariant imbedding (Ascher, Mattheij & Russell 1995, ch. 4): with exact
-    steps x+ = phi11 x + phi12 p + a, p+ = phi21 x + phi22 p + b (a = psi12 K x0,
-    b = psi22 K x0), sweep the gain p = P x + r back from 0 at T,
-    (phi22 - P+ phi12) [P | r] = [P+ phi11 - phi21 | P+ a + r+ - b], and march x
-    forward.  Steps keep sqrt(|W|) h <= 1; gains are kept about every
-    sqrt(steps) steps and recomputed block by block."""
+def _propagate_general(gm, x0, grid, boundary_tol):
+    """Invariant imbedding (Ascher, Mattheij & Russell 1995, ch. 4) over stable
+    segments.  With exact steps [x+; 1; p+] = M [x; 1; p], M = [[phi11, a,
+    phi12], [0, 1, 0], [phi21, b, phi22]] (a = psi12 K x0, b = psi22 K x0),
+    sweep the gain p = P x + r back from 0 at T over segment boundaries,
+    (phi22 - P+ phi12) [P | r] = [P+ phi11 - phi21 | P+ a + r+ - b], and march
+    [x; 1; p] forward, resetting p = P x + r at each boundary.  Fine steps keep
+    sqrt(|W|) h <= 1 and so does every segment of c fine steps; gains are kept
+    about every sqrt(S) boundaries and recomputed block by block.  The fine
+    steps inside all S segments march as c batched products; one more product
+    lands on the next boundary, and a seam defect above boundary_tol fails."""
     m, n = len(grid), len(x0)
     needed = grid[-1] * math.sqrt(np.linalg.norm(gm.W, np.inf))  # steps for sqrt(|W|) h <= 1
     if not needed <= _MAX_STEPS:
         raise ArithmeticError(f"the general route would need {needed:.3g} steps (limit {_MAX_STEPS})")
     sub = max(1, math.ceil(needed / (m - 1)))
     steps = sub * (m - 1)
-    bt = transition_blocks(assemble_system(gm), gm, grid[-1] / steps)
-    a, b = bt.psi12 @ (gm.k * x0), bt.psi22 @ (gm.k * x0)
-    # [x+; 1] = step @ [x; 1; p], so [P | r] @ step = [P phi11 | P a + r | P phi12]
-    step = np.block([[bt.phi11, a[:, None], bt.phi12],
-                     [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, n))]])
-    shift = np.column_stack([bt.phi21, b])
-    stride = math.isqrt(steps) + 1
-    starts = range(0, steps, stride)
-    ends = {steps: np.zeros((n, n + 1))}
+    c = max(1, math.floor(steps / max(needed, 1.0)))  # fine steps per segment
+    S = -(-steps // c)
+    h = grid[-1] / steps
+    sys, kx0 = assemble_system(gm), gm.k * x0
 
-    def block(start):  # the gains from min(start + stride, steps) down to start
-        gains = [ends[min(start + stride, steps)]]
-        while len(gains) <= min(stride, steps - start):
-            prod = gains[-1] @ step
-            *_, gain, info = _gesv(bt.phi22 - prod[:, n + 1:], prod[:, :n + 1] - shift)
+    def stepper(t):  # M over a time t, with its phi22 and [phi21 | b] for the sweep
+        bt = transition_blocks(sys, gm, t)
+        M = np.block([[bt.phi11, (bt.psi12 @ kx0)[:, None], bt.phi12],
+                      [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, n))],
+                      [bt.phi21, (bt.psi22 @ kx0)[:, None], bt.phi22]])
+        return M, bt.phi22, M[n + 1:, :n + 1].copy()
+
+    seg = stepper(c * h)
+    last = seg if S * c == steps else stepper((steps - (S - 1) * c) * h)
+    stride = math.isqrt(S) + 1
+    starts = range(0, S, stride)
+    ends = {S: np.zeros((n, n + 1))}
+
+    def block(start):  # the gains from boundary min(start + stride, S) down to start
+        gains = [ends[min(start + stride, S)]]
+        for k in range(min(start + stride, S) - 1, start - 1, -1):
+            M, phi22, shift = last if k == S - 1 else seg
+            prod = gains[-1] @ M[:n + 1]
+            *_, gain, info = _gesv(phi22 - prod[:, n + 1:], prod[:, :n + 1] - shift)
             if info != 0:
                 raise SingularMatrixError(f"Riccati sweep hit an exactly singular pivot ({info})")
             gains.append(gain)
@@ -363,15 +355,28 @@ def _propagate_general(gm, x0, grid):
         ends[start] = block(start)[-1]
     if not np.all(np.isfinite(ends[0])):
         raise SingularMatrixError("Riccati sweep produced non-finite gains")
-    x, p = np.empty((m, n)), np.zeros((m, n))
-    xe = np.append(x0, 1.0)
+    x, p = np.empty((m, n)), np.empty((m, n))
+    z = np.append(x0, np.ones(n + 1))  # [x; 1; p], p set at each boundary
     for start in starts:
         for k, gain in enumerate(block(start)[:0:-1], start):
-            pk = gain @ xe
-            if k % sub == 0:
-                x[k // sub], p[k // sub] = xe[:n], pk
-            xe = step @ np.append(xe, pk)
-    x[-1] = xe[:n]
+            z[n + 1:] = gain @ z[:n + 1]
+            if k * c % sub == 0:
+                x[k * c // sub], p[k * c // sub] = z[:n], z[n + 1:]
+            z = (last if k == S - 1 else seg)[0] @ z
+    x[-1], p[-1] = z[:n], z[n + 1:]  # p(T) as marched, not reset to 0
+    if c > 1:  # sub == 1: boundary k is grid row k c
+        fine = stepper(h)[0].T
+        bounds = np.column_stack([x[::c], np.ones(len(x[::c])), p[::c]])
+        marched = bounds[:S]
+        for j in range(1, c + 1):
+            marched = marched @ fine
+            if j < c:
+                rows = len(range(j, m, c))
+                x[j::c], p[j::c] = marched[:rows, :n], marched[:rows, n + 1:]
+        # every full segment's end against the next boundary state
+        defect = float(np.max(np.abs(marched[:len(bounds) - 1] - bounds[1:])))
+        if defect > boundary_tol * max(1.0, float(np.max(np.abs(bounds)))):
+            raise ArithmeticError(f"segment seam defect {defect:.3e} exceeds {boundary_tol:.3e}")
     return x, p
 
 
@@ -405,8 +410,9 @@ def solve_equilibrium(net: InfluenceNetwork, m: int, *,
     route picks the evaluation path: "auto" prefers the spectral route and
     falls back to the general one, "spectral"/"general" force a path.  The
     returned trajectory carries x, the jointly propagated costate p, and
-    u = -p; the terminal costate is checked against boundary_tol so that an
-    ill-conditioned propagation fails loudly instead of returning noise.
+    u = -p; the terminal costate, and on the general route each segment
+    seam, is checked against boundary_tol so that an ill-conditioned
+    propagation fails loudly instead of returning noise.
     """
     if m < 2:
         raise ValueError("need at least two grid samples")
@@ -423,7 +429,7 @@ def solve_equilibrium(net: InfluenceNetwork, m: int, *,
     if sd is not None:
         x, p = _propagate_spectral(sd, gm, net.x0, grid)
     else:
-        x, p = _propagate_general(gm, net.x0, grid)
+        x, p = _propagate_general(gm, net.x0, grid, boundary_tol)
     x[0] = net.x0  # t = 0 is the initial condition by definition
     pT = float(np.max(np.abs(p[-1])))
     if pT > boundary_tol:

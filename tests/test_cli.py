@@ -282,6 +282,19 @@ def test_bad_sample_count_rejected_by_library_calls(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_bad_probe_count_fails_before_solving(capsys, monkeypatch, count):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --count")
+
+    monkeypatch.setattr(cli_module, "solve_equilibrium", no_solve)
+    assert main(["verify", "--preset", "fig1b", "--count", count]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--count must be >= 1" in err and f"got {count}" in err
+    with pytest.raises(CliInputError, match=f"--count must be >= 1, got {count}"):
+        cmd_verify(PRESETS["fig2b"].network, 301, count=int(count), seed=0)
+
+
 def test_figures_accepts_any_sample_count(tmp_path):
     assert main(["figures", "--which", "fig1b", "--samples", "2",
                  "--out", str(tmp_path)]) == EXIT_OK

@@ -7,8 +7,8 @@ import pytest
 from conftest import complete_uniform_net, leader_net, random_net
 from opiniongame.network import (CompleteUniform, General, InfluenceNetwork,
                                  SingleLeader, build_matrices,
-                                 classify_topology, is_valid,
-                                 network_from_dict, network_to_dict, validate)
+                                 classify_topology, network_from_dict,
+                                 network_to_dict, validate)
 
 
 def test_build_complete_uniform_entries():
@@ -64,7 +64,7 @@ def test_build_matrices_permutation_equivariance():
 def test_validate_clean_network():
     net = complete_uniform_net(3, 1.0, 0.5, [0.1, 0.5, 0.9], 2.0)
     assert validate(net) == []
-    assert is_valid(net)
+    assert not any(d.severity == "error" for d in validate(net))
 
 
 def test_validate_flags_self_edge():
@@ -72,7 +72,7 @@ def test_validate_flags_self_edge():
                            x0=[0.1, 0.2, 0.3], T=1.0)
     msgs = [d.message for d in validate(net) if d.severity == "error"]
     assert any("self-edge" in m for m in msgs)
-    assert not is_valid(net)
+    assert any(d.severity == "error" for d in validate(net))
 
 
 def test_validate_flags_negative_weight_and_bad_index():
@@ -87,7 +87,7 @@ def test_validate_warns_on_out_of_range_opinion():
     net = InfluenceNetwork(n=2, edges={}, k=[0, 0], x0=[1.5, 0.0], T=1.0)
     diags = validate(net)
     assert [d.severity for d in diags] == ["warning"]
-    assert is_valid(net)  # warning does not invalidate
+    assert not any(d.severity == "error" for d in diags)  # warning does not invalidate
 
 
 def test_build_matrices_rejects_invalid():

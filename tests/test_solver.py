@@ -1,6 +1,7 @@
 """Tests for the state/costate solver: kernels, transition blocks, spectral
 data and the equilibrium trajectories."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_uniform_net, leader_net, random_net
@@ -17,7 +18,7 @@ import opiniongame.solver as solver_module
 from opiniongame.linalg import SingularMatrixError
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (_blocks, assemble_system, kernel_cosh,
+from opiniongame.solver import (BlockTransition, assemble_system, kernel_cosh,
                                 kernel_coshm1, kernel_sinhc, solve_equilibrium,
                                 spectral_data, transition_blocks)
 from opiniongame.verify import stationarity_check
@@ -83,7 +84,6 @@ def test_assemble_system_single_agent():
     sys = assemble_system(build_matrices(net))
     lam = 0.7
     np.testing.assert_allclose(sys.A, [[0.0, -1.0], [-lam, 0.0]])
-    np.testing.assert_allclose(sys.Khat, [[0.0, 0.0], [0.7, 0.0]])
 
 
 def test_assemble_system_blocks_and_trace():
@@ -105,9 +105,6 @@ def test_transition_blocks_at_zero():
     np.testing.assert_array_equal(bt.phi11, np.eye(4))
     np.testing.assert_array_equal(bt.phi12, np.zeros((4, 4)))
     np.testing.assert_array_equal(bt.psi12, np.zeros((4, 4)))
-    np.testing.assert_array_equal(bt.zeta11, np.eye(4))
-    np.testing.assert_array_equal(bt.zeta21, np.zeros((4, 4)))
-    np.testing.assert_array_equal(bt.zeta22, np.eye(4))
 
 
 def test_transition_blocks_scalar_cosh_form():
@@ -147,7 +144,8 @@ def spectral_blocks(sd, gm, t):
     phi11 = (V * np.array([kernel_cosh(l, t) for l in lam])) @ Vinv
     phi12 = -(V * np.array([kernel_sinhc(l, t) for l in lam])) @ Vinv
     psi12 = -(V * np.array([kernel_coshm1(l, t) for l in lam])) @ Vinv
-    return _blocks(t, phi11, phi12, gm.W @ phi12, phi11, psi12, -phi12, gm.k)
+    return BlockTransition(t=t, phi11=phi11, phi12=phi12, phi21=gm.W @ phi12,
+                           phi22=phi11, psi12=psi12, psi22=-phi12)
 
 
 def test_spectral_blocks_match_transition_blocks():
@@ -165,8 +163,7 @@ def test_spectral_blocks_match_transition_blocks():
             bt = transition_blocks(sys, gm, t)
             sb = spectral_blocks(sd, gm, t)
             scale = max(1.0, np.max(np.abs(bt.phi11)))
-            for name in ("phi11", "phi12", "phi21", "phi22", "psi12", "psi22",
-                         "zeta11", "zeta12", "zeta21", "zeta22"):
+            for name in ("phi11", "phi12", "phi21", "phi22", "psi12", "psi22"):
                 gap = np.max(np.abs(getattr(bt, name) - getattr(sb, name)))
                 assert gap <= 1e-10 * scale, (net.name, name, t, gap)
 
@@ -315,6 +312,76 @@ def test_general_route_holds_no_gain_per_sample():
     assert peak < m * n * n * 8
 
 
+def needed_steps(net):
+    """T sqrt(|W|_inf): the fewest steps, or segments, with sqrt(|W|) h <= 1."""
+    return net.T * math.sqrt(np.linalg.norm(build_matrices(net).W, np.inf))
+
+
+def test_general_route_solves_once_per_segment(monkeypatch):
+    net = directed_net(np.random.default_rng(21), 10, 5.0)
+    gesv_calls, block_calls = [], []
+
+    def counting_gesv(*args):
+        gesv_calls.append(1)
+        return scipy.linalg.lapack.dgesv(*args)
+
+    def counting_blocks(sys, gm, t):
+        block_calls.append(t)
+        return transition_blocks(sys, gm, t)
+
+    monkeypatch.setattr(solver_module, "_gesv", counting_gesv)
+    monkeypatch.setattr(solver_module, "transition_blocks", counting_blocks)
+    traj = solve_equilibrium(net, 2001, route="general")
+    # at most 2 ceil(needed) + 1 segments, each swept twice (checkpoint, recompute)
+    assert len(gesv_calls) <= 2 * (2 * math.ceil(needed_steps(net)) + 1)
+    assert len(block_calls) <= 3
+    x_ref, p_ref = exact_step_reference(net, 2001)
+    assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
+    assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+
+
+def test_general_route_single_segment_matches_reference():
+    net = directed_net(np.random.default_rng(22), 6, 0.4, w_max=0.5)
+    assert needed_steps(net) <= 1.0
+    traj = solve_equilibrium(net, 301, route="general")
+    x_ref, p_ref = exact_step_reference(net, 301)
+    assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
+    assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+
+
+def test_general_route_holds_no_gain_per_segment():
+    # m = 11 over T = 500: every segment is one of thousands of fine steps
+    n, m = 30, 11
+    net = directed_net(np.random.default_rng(23), n, 500.0)
+    segments = (m - 1) * math.ceil(needed_steps(net) / (m - 1))
+    assert segments > 1000
+    tracemalloc.start()
+    try:
+        traj = solve_equilibrium(net, m, route="general")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(traj.x)) and np.max(np.abs(traj.p[-1])) <= 1e-8
+    # a quarter of what every segment's n x n gain at once would take
+    assert peak < segments * n * n * 8 / 4
+
+
+def test_general_route_seam_defect_is_an_error(monkeypatch):
+    # a segment block off by 1e-6 still gives gains that reach p(T) = 0, so
+    # only the fine march landing beside the next boundary state can tell
+    net, m = directed_net(np.random.default_rng(24), 10, 5.0), 2001
+    h = net.T / (m - 1)
+    assert needed_steps(net) < (m - 1) / 2  # segments of several fine steps
+
+    def skewed_blocks(sys, gm, t):
+        bt = transition_blocks(sys, gm, t)
+        return bt if t < 1.5 * h else dataclasses.replace(bt, phi11=bt.phi11 + 1e-6)
+
+    monkeypatch.setattr(solver_module, "transition_blocks", skewed_blocks)
+    with pytest.raises(ArithmeticError, match="seam defect"):
+        solve_equilibrium(net, m, route="general")
+
+
 def test_general_route_refuses_instead_of_crawling():
     # weights near the float64 limit would need ~1e150 stable steps
     net = InfluenceNetwork(n=2, edges={(0, 1): 1e300, (1, 0): 1e300},
@@ -330,7 +397,7 @@ def test_general_route_sweep_failures_are_typed(monkeypatch, entry, message):
     def broken_blocks(sys, gm, t):
         bt = transition_blocks(sys, gm, t)
         phi22 = np.full_like(bt.phi22, entry) if entry == 0.0 else bt.phi22 + entry
-        return _blocks(t, bt.phi11, bt.phi12, bt.phi21, phi22, bt.psi12, bt.psi22, gm.k)
+        return dataclasses.replace(bt, phi22=phi22)
 
     monkeypatch.setattr(solver_module, "transition_blocks", broken_blocks)
     net = random_net(np.random.default_rng(8), n=4, T=1.0)
@@ -346,6 +413,20 @@ def test_general_route_boundary_conditions_property(seed, n, T, m):
     traj = solve_equilibrium(net, m, route="general")
     assert np.array_equal(traj.x[0], net.x0)
     assert np.max(np.abs(traj.p[-1])) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+       T=st.floats(0.1, 20.0), m=st.integers(2, 80))
+def test_general_route_matches_exact_step_reference_property(seed, n, T, m):
+    net = directed_net(np.random.default_rng(seed), n, T)
+    # the reference takes whole grid steps and loses digits once they grow
+    # by e^{sqrt(|W|) h} >> 1; the route cuts such steps into substeps
+    assume(needed_steps(net) <= 4 * (m - 1))
+    traj = solve_equilibrium(net, m, route="general")
+    x_ref, p_ref = exact_step_reference(net, m)
+    assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
+    assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
