@@ -13,17 +13,20 @@ the leader's initial opinions with xi_i(t) = (w_i1/l_i) cosh(sqrt(l_i)(T-t))
 / cosh(sqrt(l_i) T) and l_i = k_i + w_i1.
 
 Both trajectory functions take a scalar or an array t and return opinions of
-shape t.shape + (n,), so a whole grid costs one call.
+shape t.shape + (n,), so a whole grid costs one call.  Both shrink factors
+have the form (k + w R(t))/l with R(t) = cosh(sqrt(l)(T-t))/cosh(sqrt(l) T),
+so an eps-consensus time inverts R explicitly through arccosh.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import CompleteUniform, InfluenceNetwork, SingleLeader, classify_topology
-from .solver import cosh_ratio
+from .solver import cosh_ratios
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def gamma(p: CompleteUniformParams, t) -> float:
     """Shrink factor applied to each agent's deviation from the average."""
     _check_time(p.T, t)
     l1 = p.lambda1
-    return p.k / l1 + (p.n * p.w / l1) * cosh_ratio(l1, p.T - np.asarray(t, dtype=float), p.T)
+    return p.k / l1 + (p.n * p.w / l1) * cosh_ratios(l1, p.T - np.asarray(t, dtype=float), p.T)[0]
 
 
 def complete_trajectory(p: CompleteUniformParams, x0, t) -> np.ndarray:
@@ -130,47 +133,32 @@ def epsilon_consensus_time(p: CompleteUniformParams, x0, eps):
     network never gets that close on this horizon (with stubborn agents it
     never will on any horizon once eps < (k/l1) * max deviation).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     x0 = _check_x0(p.n, x0)
     spread = float(np.max(np.abs(x0 - x0.mean())))
     if spread * float(gamma(p, 0.0)) <= eps:
         return 0.0
     if spread * float(gamma(p, p.T)) > eps:
         return None
-    lo, hi = 0.0, p.T  # gamma is non-increasing, so bisection applies
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if spread * float(gamma(p, mid)) <= eps:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * p.T:
-            break
-    return hi
+    return _ratio_time(p.lambda1, p.k, p.n * p.w, p.T, eps / spread)
 
 
 # ---------------------------------------------------------------------------
 # single-leader topology
 
 
-def _xi(p: LeaderParams, i, t):
-    li = p.lam[i]
-    if li == 0.0:
-        # decoupled and indifferent follower: convention pins it to x0_i
-        return 0.0
-    return (p.w1[i] / li) * cosh_ratio(li, p.T - np.asarray(t, dtype=float), p.T)
+def _xi(p: LeaderParams, t):
+    """xi_i(t) for every agent, shape t.shape + (n,); 0 for the leader and for
+    followers with l_i = 0, which the convention pins to x0_i."""
+    coef = np.divide(p.w1, p.lam, out=np.zeros(p.n), where=p.lam > 0.0)
+    return coef * cosh_ratios(p.lam, p.T - np.asarray(t, dtype=float)[..., None], p.T)[0]
 
 
 def leader_trajectory(p: LeaderParams, x0, t) -> np.ndarray:
     """x_1(t) = x0_1; x_i(t) = (k_i x0_i + w_i1 x0_1)/l_i + xi_i(t)(x0_i - x0_1)."""
     _check_time(p.T, t)
     x0 = _check_x0(p.n, x0)
-    out = np.broadcast_to(leader_limit(p, x0), np.shape(t) + (p.n,)).copy()
-    for i in range(1, p.n):
-        if p.lam[i] != 0.0:
-            out[..., i] += _xi(p, i, t) * (x0[i] - x0[0])
-    return out
+    return leader_limit(p, x0) + _xi(p, t) * (x0 - x0[0])
 
 
 def leader_limit(p: LeaderParams, x0) -> np.ndarray:
@@ -190,28 +178,40 @@ def leader_distance(p: LeaderParams, i, x0, t) -> float:
         raise ValueError("follower index must be in 1..n-1")
     x0 = _check_x0(p.n, x0)
     li = p.lam[i]
-    factor = 1.0 if li == 0.0 else p.k[i] / li + float(_xi(p, i, t))
+    factor = 1.0 if li == 0.0 else p.k[i] / li + float(_xi(p, t)[..., i])
     return factor * abs(float(x0[i] - x0[0]))
 
 
 def leader_consensus_time(p: LeaderParams, i, x0, eps):
     """Earliest t with follower i within eps of the leader's opinion, or None."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if leader_distance(p, i, x0, 0.0) <= eps:
         return 0.0
     if leader_distance(p, i, x0, p.T) > eps:
         return None
-    lo, hi = 0.0, p.T
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if leader_distance(p, i, x0, mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * p.T:
-            break
-    return hi
+    dist = abs(float(x0[i] - x0[0]))
+    return _ratio_time(p.lam[i], p.k[i], p.w1[i], p.T, eps / dist)
+
+
+def _ratio_time(lam, k, w, T, level):
+    """The t in [0, T] with (k + w R(t))/lam = level, R as in the module
+    docstring, for a level between the values at t = T and t = 0.
+
+    t = T - arccosh(y)/s with y = c cosh(sT), s = sqrt(lam) and
+    c = (level lam - k)/w, taken in logs so that cosh(sT) never overflows:
+    log y = log c + sT + log1p(e^{-2sT}) - log 2 and
+    arccosh(y) = log y + log1p(sqrt(-expm1(-2 log y))).  Roundoff at the
+    ends is clamped to c > 0 and 0 <= t <= T.
+    """
+    s = math.sqrt(lam)
+    c = max((level * lam - k) / w, math.ulp(0.0))
+    log_y = max(math.log(c) + s * T + math.log1p(math.exp(-2.0 * s * T)) - math.log(2.0), 0.0)
+    return max(T - (log_y + math.log1p(math.sqrt(-math.expm1(-2.0 * log_y)))) / s, 0.0)
+
+
+def _check_eps(eps):
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 def _check_time(T, t):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -436,8 +437,8 @@ def main(argv=None) -> int:
                 eps_list = [float(v) for v in str(args.eps).split(",") if v.strip()]
             except ValueError as exc:
                 raise CliInputError(f"bad --eps list: {exc}") from exc
-            if not eps_list or any(e <= 0 for e in eps_list):
-                raise CliInputError("--eps needs positive values")
+            if not eps_list or not all(0 < e < math.inf for e in eps_list):
+                raise CliInputError("--eps needs positive finite values")
             print(cmd_limits(net, eps_list))
             return EXIT_OK
         if args.command == "figures":
@@ -454,6 +455,10 @@ def main(argv=None) -> int:
     except (SingularMatrixError, ArithmeticError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        # scenario reads raise CliInputError, so this is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,9 +15,10 @@ provided:
   the state that the fine steps carry to each segment's end must match the
   next segment's start to the boundary tolerance;
 * a spectral route used whenever W has a trustworthy real eigendecomposition,
-  which collapses the block formula to per-mode cosh/sinh ratios.  The ratios
-  are evaluated in exponential-difference form, so this route stays accurate
-  for stiff instances where cosh(sqrt(lambda) T) dwarfs float64 resolution.
+  which collapses the block formula to per-mode cosh/sinh ratios.  One
+  function, cosh_ratios, evaluates them from decaying exponentials and
+  expm1 with no branch in sqrt(lambda) T, so this route stays accurate for
+  stiff instances where cosh(sqrt(lambda) T) dwarfs float64 resolution.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
 
 # |lambda| t^2 below this uses the power series; keeps kernels continuous at 0.
 _SERIES_CUTOFF = 1e-6
-# sqrt(lambda) * horizon above this switches ratios to exponential form.
-_EXP_FORM_CUTOFF = 30.0
+# smallest normal float; phi(z) = -expm1(-z)/z is exactly 1 there.
+_TINY = np.finfo(float).tiny
 # horizon * sqrt(|W|) above this makes the general route refuse, not crawl.
 _MAX_STEPS = 1_000_000
 
@@ -44,10 +45,10 @@ _MAX_STEPS = 1_000_000
 # scalar kernels: entire functions of z = lambda * t^2
 
 
-def _k0(z):
-    """cosh(sqrt(z)) continued through z <= 0."""
-    z = np.asarray(z, dtype=float)
-    return np.piecewise(
+def kernel_cosh(lam, t):
+    """cosh(sqrt(lam) t); cos(sqrt(-lam) t) for lam < 0; 1 at lam = 0."""
+    z = np.asarray(lam * np.square(t), dtype=float)
+    out = np.piecewise(
         z,
         [np.abs(z) < _SERIES_CUTOFF, z >= _SERIES_CUTOFF],
         [
@@ -56,12 +57,14 @@ def _k0(z):
             lambda s: np.cos(np.sqrt(-s)),
         ],
     )
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _k1(z):
-    """sinh(sqrt(z))/sqrt(z) continued through z <= 0."""
-    z = np.asarray(z, dtype=float)
-    return np.piecewise(
+def kernel_sinhc(lam, t):
+    """sinh(sqrt(lam) t)/sqrt(lam); the lam -> 0 limit is t."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(lam * np.square(t), dtype=float)
+    out = t * np.piecewise(
         z,
         [np.abs(z) < _SERIES_CUTOFF, z >= _SERIES_CUTOFF],
         [
@@ -70,12 +73,14 @@ def _k1(z):
             lambda s: np.sin(np.sqrt(-s)) / np.sqrt(-s),
         ],
     )
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _k2(z):
-    """(cosh(sqrt(z)) - 1)/z continued through z <= 0."""
-    z = np.asarray(z, dtype=float)
-    return np.piecewise(
+def kernel_coshm1(lam, t):
+    """(cosh(sqrt(lam) t) - 1)/lam; the lam -> 0 limit is t^2/2."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(lam * np.square(t), dtype=float)
+    out = np.square(t) * np.piecewise(
         z,
         [np.abs(z) < _SERIES_CUTOFF, z >= _SERIES_CUTOFF],
         [
@@ -84,71 +89,38 @@ def _k2(z):
             lambda s: (np.cos(np.sqrt(-s)) - 1.0) / s,
         ],
     )
-
-
-def kernel_cosh(lam, t):
-    """cosh(sqrt(lam) t); cos(sqrt(-lam) t) for lam < 0; 1 at lam = 0."""
-    out = _k0(lam * np.square(t))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def kernel_sinhc(lam, t):
-    """sinh(sqrt(lam) t)/sqrt(lam); the lam -> 0 limit is t."""
-    out = np.asarray(t, dtype=float) * _k1(lam * np.square(t))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def kernel_coshm1(lam, t):
-    """(cosh(sqrt(lam) t) - 1)/lam; the lam -> 0 limit is t^2/2."""
-    out = np.square(np.asarray(t, dtype=float)) * _k2(lam * np.square(t))
     return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
-# stable ratio helpers, used by the spectral route and the closed forms
+# the cosh-ratio family, used by the spectral route and the closed forms
 
-def cosh_ratio(lam, a, b):
-    """cosh(sqrt(lam) a)/cosh(sqrt(lam) b) for 0 <= a <= b.
 
-    For large sqrt(lam) b this uses e^{s(a-b)} (1 + e^{-2sa})/(1 + e^{-2sb}),
-    which never overflows and keeps full relative accuracy.
+def _phi(z):
+    """-expm1(-z)/z for z >= 0.  z = 0 is lifted to the smallest normal
+    float, where the quotient is exactly 1, the limit at 0."""
+    z = -np.maximum(z, _TINY)
+    return np.expm1(z) / z
+
+
+def cosh_ratios(lam, a, b):
+    """cosh(sa), s sinh(sa), sinh(sa)/s and (cosh(sb) - cosh(sa))/lam, each
+    divided by cosh(sb), for s = sqrt(lam), lam >= 0 and 0 <= a <= b.
+
+    With r = e^{s(a-b)}/(1 + e^{-2sb}) and z = 2sa, expm1(-z) = -z phi(z)
+    gives r (2 - z phi(z)), 2 lam a r phi(z) and 2 a r phi(z); the gap is
+    (b - a)(b + a) phi(s(b + a)) phi(s(b - a))/(1 + e^{-2sb}).  No exponent
+    is positive, so nothing overflows for any s b, and s = 0 needs no
+    branch.  lam, a and b broadcast against each other.
     """
-    a = np.asarray(a, dtype=float)
-    if lam <= 0.0 or np.sqrt(lam) * b <= _EXP_FORM_CUTOFF:
-        return _k0(lam * a * a) / _k0(lam * b * b)
     s = np.sqrt(lam)
-    return np.exp(s * (a - b)) * (1.0 + np.exp(-2.0 * s * a)) / (1.0 + np.exp(-2.0 * s * b))
-
-
-def _sqrt_sinh_over_cosh(lam, a, b):
-    """sqrt(lam) sinh(sqrt(lam) a)/cosh(sqrt(lam) b) for 0 <= a <= b."""
-    a = np.asarray(a, dtype=float)
-    if lam <= 0.0 or np.sqrt(lam) * b <= _EXP_FORM_CUTOFF:
-        return lam * a * _k1(lam * a * a) / _k0(lam * b * b)
-    s = np.sqrt(lam)
-    return s * np.exp(s * (a - b)) * (1.0 - np.exp(-2.0 * s * a)) / (1.0 + np.exp(-2.0 * s * b))
-
-
-def _sinhc_over_cosh(lam, a, b):
-    """[sinh(sqrt(lam) a)/sqrt(lam)] / cosh(sqrt(lam) b) for 0 <= a <= b."""
-    a = np.asarray(a, dtype=float)
-    if lam <= 0.0 or np.sqrt(lam) * b <= _EXP_FORM_CUTOFF:
-        return a * _k1(lam * a * a) / _k0(lam * b * b)
-    s = np.sqrt(lam)
-    return np.exp(s * (a - b)) * (1.0 - np.exp(-2.0 * s * a)) / (s * (1.0 + np.exp(-2.0 * s * b)))
-
-
-def _coshm1_gap_over_cosh(lam, a, b):
-    """(1 - cosh(sqrt(lam) a)/cosh(sqrt(lam) b)) / lam for 0 <= a <= b.
-
-    Written as (coshm1(b) - coshm1(a))/cosh(b) near lam = 0 to dodge the
-    0/0 cancellation; the limit is (b^2 - a^2)/2.
-    """
-    a = np.asarray(a, dtype=float)
-    if lam <= 0.0 or np.sqrt(lam) * b <= _EXP_FORM_CUTOFF:
-        num = b * b * _k2(lam * b * b) - a * a * _k2(lam * a * a)
-        return num / _k0(lam * b * b)
-    return (1.0 - cosh_ratio(lam, a, b)) / lam
+    den = 1.0 + np.exp(-2.0 * s * b)
+    r = np.exp(s * (a - b)) / den
+    z = 2.0 * s * a
+    phi_z = _phi(z)
+    sinhc = 2.0 * a * r * phi_z
+    gap = (b - a) * (b + a) * _phi(s * (b + a)) * _phi(s * (b - a)) / den
+    return r * (2.0 - z * phi_z), lam * sinhc, sinhc, gap
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +191,7 @@ def assemble_system(gm: GameMatrices) -> StateCostateSystem:
     return StateCostateSystem(A=A, n=n)
 
 
-def transition_blocks(sys: StateCostateSystem, gm: GameMatrices, t) -> BlockTransition:
+def transition_blocks(sys: StateCostateSystem, t) -> BlockTransition:
     """Partition e^{At} and its running integral into the n x n blocks."""
     Phi, Psi = exp_with_integral(sys.A, t)
     n = sys.n
@@ -328,7 +300,7 @@ def _propagate_general(gm, x0, grid, boundary_tol):
     sys, kx0 = assemble_system(gm), gm.k * x0
 
     def stepper(t):  # M over a time t, with its phi22 and [phi21 | b] for the sweep
-        bt = transition_blocks(sys, gm, t)
+        bt = transition_blocks(sys, t)
         M = np.block([[bt.phi11, (bt.psi12 @ kx0)[:, None], bt.phi12],
                       [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, n))],
                       [bt.phi21, (bt.psi22 @ kx0)[:, None], bt.phi22]])
@@ -386,20 +358,20 @@ def _propagate_spectral(sd, gm, x0, grid):
         y(t) = c + [cosh(sqrt(l)(T-t))/cosh(sqrt(l) T)] (y0 - c),
         q(t) = sqrt(l) [sinh(sqrt(l)(T-t))/cosh(sqrt(l) T)] (y0 - c),
 
-    evaluated through ratio kernels that stay bounded for any lambda T."""
+    evaluated through cosh_ratios, which stays bounded for any lambda T."""
     T = grid[-1]
     rem = T - grid
     y0 = sd.Vinv @ np.asarray(x0, dtype=float)
     g = sd.Vinv @ (gm.k * np.asarray(x0, dtype=float))
     m, n = len(grid), len(x0)
-    Y = np.empty((m, n))
-    Q = np.empty((m, n))
-    for j, lam in enumerate(sd.lambdas):
-        ratio = cosh_ratio(lam, rem, T)
-        gap = _coshm1_gap_over_cosh(lam, rem, T)  # (1 - ratio)/lambda, stable at 0
-        Y[:, j] = y0[j] * ratio + g[j] * gap
-        Q[:, j] = (y0[j] * _sqrt_sinh_over_cosh(lam, rem, T)
-                   - g[j] * _sinhc_over_cosh(lam, rem, T))
+    Y = np.empty((m, n), order="F")  # filled a mode (column) at a time
+    Q = np.empty((m, n), order="F")
+    # W is diagonally dominant with a nonnegative diagonal, so its real
+    # spectrum is >= 0; a negative eigenvalue is roundoff around 0
+    for j, lam in enumerate(np.maximum(sd.lambdas, 0.0)):
+        cosh, s_sinh, sinhc, gap = cosh_ratios(lam, rem, T)
+        Y[:, j] = y0[j] * cosh + g[j] * gap
+        Q[:, j] = y0[j] * s_sinh - g[j] * sinhc
     return Y @ sd.V.T, Q @ sd.V.T
 
 

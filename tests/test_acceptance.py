@@ -64,7 +64,7 @@ def test_criterion_3_block_identities():
         gm = build_matrices(net)
         sys = assemble_system(gm)
         for t in rng.uniform(0.0, net.T, 10):
-            bt = transition_blocks(sys, gm, t)
+            bt = transition_blocks(sys, t)
             scale = max(1.0, float(np.max(np.abs(bt.phi11))))
             gaps = (np.max(np.abs(bt.phi22 - bt.phi11)),
                     np.max(np.abs(bt.psi22 + bt.phi12)),

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import X0_LADDER, complete_uniform_net
+from conftest import X0_LADDER, complete_uniform_net, leader_net
 import opiniongame.analytic as analytic_module
 from opiniongame.analytic import (CompleteUniformParams, LeaderParams,
                                   complete_limit, complete_pairwise_distance,
@@ -13,7 +15,7 @@ from opiniongame.analytic import (CompleteUniformParams, LeaderParams,
                                   leader_limit, leader_params,
                                   leader_trajectory)
 from opiniongame.cli import PRESETS, closed_form_deviation
-from opiniongame.solver import cosh_ratio, solve_equilibrium
+from opiniongame.solver import cosh_ratios, solve_equilibrium
 
 FIG1B = CompleteUniformParams(n=10, w=2.0, k=0.2, T=5.0)
 
@@ -203,7 +205,7 @@ def leader_row_weights(p, i, t):
     li = p.lam[i]
     if li == 0.0:
         return 0.0, 1.0
-    xi = (p.w1[i] / li) * float(cosh_ratio(li, p.T - t, p.T))
+    xi = (p.w1[i] / li) * float(cosh_ratios(li, p.T - t, p.T)[0])
     return p.w1[i] / li - xi, p.k[i] / li + xi
 
 
@@ -314,7 +316,7 @@ def test_leader_array_time_with_indifferent_follower():
 def test_leader_array_time_on_stiff_star():
     p = LeaderParams(k=np.array([0.3, 0.1, 0.5, 0.2]),
                      w1=np.array([0.0, 400.0, 1000.0, 0.7]), T=3.0)
-    assert np.sqrt(p.lam[2]) * p.T > 30.0  # exponential-form branch of cosh_ratio
+    assert np.sqrt(p.lam[2]) * p.T > 30.0  # cosh(sqrt(l) T) beyond 1e13
     x0 = np.array([0.9, 0.1, 0.4, 0.6])
     ts = np.linspace(0.0, p.T, 301)
     out = leader_trajectory(p, x0, ts)
@@ -349,3 +351,122 @@ def test_closed_form_deviation_makes_one_call(name, fn_name, monkeypatch):
                         lambda *args: calls.append(args) or original(*args))
     assert closed_form_deviation(net, traj) <= 1e-8
     assert len(calls) == 1 and np.array_equal(calls[0][2], traj.grid)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1])
+def test_consensus_times_reject_eps_outside_open_interval(eps):
+    with pytest.raises(ValueError, match="eps"):
+        epsilon_consensus_time(FIG1B, X0_LADDER, eps)
+    p = leader_params(PRESETS["fig2b"].network)
+    with pytest.raises(ValueError, match="eps"):
+        leader_consensus_time(p, 3, X0_LADDER, eps)
+
+
+# ---------------------------------------------------------------------------
+# properties over random parameters
+
+
+complete_cases = st.builds(
+    lambda n, w, k, T, seed: (CompleteUniformParams(n=n, w=w, k=k, T=T),
+                              np.random.default_rng(seed).uniform(0.0, 1.0, n)),
+    st.integers(2, 12), st.floats(0.01, 5.0), st.floats(0.0, 1.0),
+    st.floats(0.1, 50.0), st.integers(0, 2**32 - 1))
+
+leader_cases = st.builds(
+    lambda n, T, seed: _random_leader(np.random.default_rng(seed), n, T),
+    st.integers(2, 8), st.floats(0.1, 50.0), st.integers(0, 2**32 - 1))
+
+
+def _random_leader(rng, n, T):
+    w1 = rng.uniform(0.01, 5.0, n)
+    w1[0] = 0.0
+    return LeaderParams(k=rng.uniform(0.0, 1.0, n), w1=w1, T=T), rng.uniform(0.0, 1.0, n)
+
+
+def _levels(lo, hi, theta, below):
+    """A level theta of the way from lo to hi, one float lower if below."""
+    eps = lo + theta * (hi - lo)
+    return float(np.nextafter(eps, 0.0)) if below else eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=complete_cases, theta=st.floats(0.0, 1.0), below=st.booleans())
+@example(case=(CompleteUniformParams(n=12, w=0.37, k=0.98, T=27.9),
+               np.random.default_rng(68).uniform(0.0, 1.0, 12)), theta=1.0, below=True)
+def test_epsilon_consensus_time_inverts_gamma_property(case, theta, below):
+    # the example sits one float below gamma(0), where the unclamped
+    # inversion returns -3.6e-15
+    p, x0 = case
+    spread = float(np.max(np.abs(x0 - x0.mean())))
+    eps = _levels(spread * float(gamma(p, p.T)), spread * float(gamma(p, 0.0)), theta, below)
+    assume(eps > 0.0)
+    t = epsilon_consensus_time(p, x0, eps)
+    assert t is None or 0.0 <= t <= p.T
+    if t is not None and 0.0 < t < p.T:
+        assert spread * float(gamma(p, t)) == pytest.approx(eps, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=leader_cases, theta=st.floats(0.0, 1.0), below=st.booleans(),
+       pick=st.integers(0, 2**16))
+def test_leader_consensus_time_inverts_distance_property(case, theta, below, pick):
+    p, x0 = case
+    i = 1 + pick % (p.n - 1)
+    eps = _levels(leader_distance(p, i, x0, p.T), leader_distance(p, i, x0, 0.0), theta, below)
+    assume(eps > 0.0)
+    t = leader_consensus_time(p, i, x0, eps)
+    assert t is None or 0.0 <= t <= p.T
+    if t is not None and 0.0 < t < p.T:
+        assert leader_distance(p, i, x0, t) == pytest.approx(eps, rel=1e-12)
+
+
+def test_epsilon_consensus_time_at_the_stubborn_floor():
+    # gamma(T) rounds to k/l1 here, so eps = spread k/l1 counts as reached
+    # by T although the ratio term it leaves, c = 0, is never reached
+    p = CompleteUniformParams(n=10, w=2.0, k=1.0, T=100.0)
+    spread = 0.45
+    t = epsilon_consensus_time(p, X0_LADDER, spread * float(gamma(p, p.T)))
+    assert t is not None and 0.0 < t <= p.T
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 10), w=st.floats(0.05, 5.0), k=st.floats(0.0, 1.0),
+       T=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_complete_closed_form_matches_both_routes_property(n, w, k, T, seed):
+    x0 = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    net = complete_uniform_net(n, w, k, x0, T)
+    ts = np.linspace(0.0, T, 101)
+    ref = complete_trajectory(complete_params(net), x0, ts)
+    for route in ("auto", "general"):
+        assert np.max(np.abs(solve_equilibrium(net, 101, route=route).x - ref)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 10), T=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_leader_closed_form_matches_both_routes_property(n, T, seed):
+    rng = np.random.default_rng(seed)
+    net = leader_net(n, rng.uniform(0.05, 5.0, n), rng.uniform(0.0, 1.0, n),
+                     rng.uniform(0.0, 1.0, n), T)
+    ts = np.linspace(0.0, T, 101)
+    ref = leader_trajectory(leader_params(net), net.x0, ts)
+    for route in ("auto", "general"):
+        assert np.max(np.abs(solve_equilibrium(net, 101, route=route).x - ref)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=complete_cases)
+def test_gamma_non_increasing_property(case):
+    p, _ = case
+    vals = gamma(p, np.linspace(0.0, p.T, 401))
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 10), w=st.floats(0.05, 5.0), T=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_mean_fixed_on_complete_nets_without_stubbornness_property(n, w, T, seed):
+    x0 = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    net = complete_uniform_net(n, w, 0.0, x0, T)
+    for route in ("auto", "general"):
+        x = solve_equilibrium(net, 101, route=route).x
+        assert np.max(np.abs(x.mean(axis=1) - x0.mean())) <= 1e-12

@@ -164,6 +164,35 @@ def test_limits_unreachable_eps(capsys):
     assert "not reached" in capsys.readouterr().out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2b", "fig2c"])
+@pytest.mark.parametrize("label, extra", [("default", []),
+                                          ("eps", ["--eps", "0.3,0.05,0.001,1e-5"])])
+def test_limits_output_matches_golden(capsys, name, label, extra):
+    assert main(["limits", "--preset", name] + extra) == EXIT_OK
+    want = (GOLDEN / f"limits-{name}-{label}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0.1,nan", "0.1,-inf"])
+def test_limits_rejects_non_finite_eps(capsys, eps):
+    assert main(["limits", "--preset", "fig2b", "--eps", eps]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--eps" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--preset", "fig1b", "--samples", "11"],
+                                  ["figures", "--which", "fig1b", "--samples", "11"]])
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    assert main(argv + ["--out", str(target)]) == EXIT_INPUT
+    assert "cannot write" in capsys.readouterr().err
+    assert target.read_text() == "keep\n"
+
+
 def test_limits_general_topology_exits_4():
     rc = main(["limits", "--preset", "fig3b"])
     assert rc == EXIT_UNSUPPORTED

@@ -18,9 +18,10 @@ import opiniongame.solver as solver_module
 from opiniongame.linalg import SingularMatrixError
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (BlockTransition, assemble_system, kernel_cosh,
-                                kernel_coshm1, kernel_sinhc, solve_equilibrium,
-                                spectral_data, transition_blocks)
+from opiniongame.solver import (BlockTransition, assemble_system, cosh_ratios,
+                                kernel_cosh, kernel_coshm1, kernel_sinhc,
+                                solve_equilibrium, spectral_data,
+                                transition_blocks)
 from opiniongame.verify import stationarity_check
 
 # ---------------------------------------------------------------------------
@@ -75,6 +76,43 @@ def test_kernel_continuity_across_zero():
                 kernel_series(lam, t, 2) / 1.0, rel=1e-12, abs=1e-15)
 
 
+def cosh_ratios_reference(lam, a, b):
+    """cosh_ratios at 80 digits; the gap keeps its digits when a is near b."""
+    import mpmath
+    with mpmath.workdps(80):
+        lam, a, b = mpmath.mpf(lam), mpmath.mpf(a), mpmath.mpf(b)
+        s = mpmath.sqrt(lam)
+        sinhc = mpmath.sinh(s * a) / s if lam else a
+        gap = (mpmath.cosh(s * b) - mpmath.cosh(s * a)) / lam if lam else (b * b - a * a) / 2
+        return [float(v / mpmath.cosh(s * b))
+                for v in (mpmath.cosh(s * a), lam * sinhc, sinhc, gap)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.one_of(st.just(0.0), st.floats(1e-20, 1e6),
+                     st.floats(-20.0, 6.0).map(lambda e: 10.0 ** e)),
+       b=st.floats(0.01, 5000.0),
+       frac=st.one_of(st.floats(0.0, 1.0), st.just(1.0 - 1e-9)))
+def test_cosh_ratios_match_mpmath_property(lam, b, frac):
+    a = b * frac
+    got = cosh_ratios(lam, a, b)
+    for name, value, ref in zip(("cosh", "s sinh", "sinh/s", "gap"), got,
+                                cosh_ratios_reference(lam, a, b)):
+        if abs(ref) > 1e-290:
+            assert value == pytest.approx(ref, rel=1e-12), (name, lam, a, b)
+
+
+def test_cosh_ratios_broadcast_over_modes_and_times():
+    lam = np.array([0.0, 0.3, 40.0])
+    a = np.linspace(0.0, 2.0, 5)[:, None]
+    out = cosh_ratios(lam, a, 2.0)
+    for got in out:
+        assert got.shape == (5, 3)
+    for j, l in enumerate(lam):
+        for one, many in zip(cosh_ratios(l, a[:, 0], 2.0), out):
+            np.testing.assert_array_equal(one, many[:, j])
+
+
 # ---------------------------------------------------------------------------
 # system assembly and transition blocks
 
@@ -101,7 +139,7 @@ def test_assemble_system_blocks_and_trace():
 def test_transition_blocks_at_zero():
     net = complete_uniform_net(4, 1.2, 0.3, [0.2, 0.4, 0.6, 0.8], 2.0)
     gm = build_matrices(net)
-    bt = transition_blocks(assemble_system(gm), gm, 0.0)
+    bt = transition_blocks(assemble_system(gm), 0.0)
     np.testing.assert_array_equal(bt.phi11, np.eye(4))
     np.testing.assert_array_equal(bt.phi12, np.zeros((4, 4)))
     np.testing.assert_array_equal(bt.psi12, np.zeros((4, 4)))
@@ -111,7 +149,7 @@ def test_transition_blocks_scalar_cosh_form():
     lam, t = 2.6, 1.4
     net = InfluenceNetwork(n=1, edges={}, k=[lam], x0=[0.5], T=2.0)
     gm = build_matrices(net)
-    bt = transition_blocks(assemble_system(gm), gm, t)
+    bt = transition_blocks(assemble_system(gm), t)
     assert bt.phi11[0, 0] == pytest.approx(kernel_cosh(lam, t), rel=1e-12)
     assert bt.phi12[0, 0] == pytest.approx(-kernel_sinhc(lam, t), rel=1e-12)
     assert bt.phi21[0, 0] == pytest.approx(-lam * kernel_sinhc(lam, t), rel=1e-12)
@@ -126,7 +164,7 @@ def test_block_identities_on_random_networks():
         gm = build_matrices(net)
         sys = assemble_system(gm)
         for t in rng.uniform(0.0, net.T, 4):
-            bt = transition_blocks(sys, gm, t)
+            bt = transition_blocks(sys, t)
             scale = max(1.0, np.max(np.abs(bt.phi11)))
             assert np.max(np.abs(bt.phi22 - bt.phi11)) <= 1e-10 * scale
             assert np.max(np.abs(bt.psi22 + bt.phi12)) <= 1e-10 * scale
@@ -160,7 +198,7 @@ def test_spectral_blocks_match_transition_blocks():
         assert sd is not None
         sys = assemble_system(gm)
         for t in (0.0, 0.6, 1.9, 3.0):
-            bt = transition_blocks(sys, gm, t)
+            bt = transition_blocks(sys, t)
             sb = spectral_blocks(sd, gm, t)
             scale = max(1.0, np.max(np.abs(bt.phi11)))
             for name in ("phi11", "phi12", "phi21", "phi22", "psi12", "psi22"):
@@ -325,9 +363,9 @@ def test_general_route_solves_once_per_segment(monkeypatch):
         gesv_calls.append(1)
         return scipy.linalg.lapack.dgesv(*args)
 
-    def counting_blocks(sys, gm, t):
+    def counting_blocks(sys, t):
         block_calls.append(t)
-        return transition_blocks(sys, gm, t)
+        return transition_blocks(sys, t)
 
     monkeypatch.setattr(solver_module, "_gesv", counting_gesv)
     monkeypatch.setattr(solver_module, "transition_blocks", counting_blocks)
@@ -373,8 +411,8 @@ def test_general_route_seam_defect_is_an_error(monkeypatch):
     h = net.T / (m - 1)
     assert needed_steps(net) < (m - 1) / 2  # segments of several fine steps
 
-    def skewed_blocks(sys, gm, t):
-        bt = transition_blocks(sys, gm, t)
+    def skewed_blocks(sys, t):
+        bt = transition_blocks(sys, t)
         return bt if t < 1.5 * h else dataclasses.replace(bt, phi11=bt.phi11 + 1e-6)
 
     monkeypatch.setattr(solver_module, "transition_blocks", skewed_blocks)
@@ -394,8 +432,8 @@ def test_general_route_refuses_instead_of_crawling():
                                             (np.nan, "non-finite")])
 def test_general_route_sweep_failures_are_typed(monkeypatch, entry, message):
     # phi22 = 0 makes the first pivot exactly zero; a NaN block poisons the gains
-    def broken_blocks(sys, gm, t):
-        bt = transition_blocks(sys, gm, t)
+    def broken_blocks(sys, t):
+        bt = transition_blocks(sys, t)
         phi22 = np.full_like(bt.phi22, entry) if entry == 0.0 else bt.phi22 + entry
         return dataclasses.replace(bt, phi22=phi22)
 
@@ -439,6 +477,19 @@ def test_routes_agree_on_symmetric_nets_property(seed, n, T, m):
     scale = max(1.0, float(np.max(np.abs(a.p))))
     assert np.max(np.abs(a.x - b.x)) <= 1e-10
     assert np.max(np.abs(a.p - b.p)) <= 1e-10 * scale
+
+
+def test_routes_agree_where_eigh_returns_a_negative_eigenvalue():
+    # k = 0 makes W a graph Laplacian with an exact zero eigenvalue, which
+    # eigh returns as a small negative number; the spectral route clamps it
+    net = symmetric_net(np.random.default_rng(36), 12, 2.0)
+    net = dataclasses.replace(net, k=np.zeros(12))
+    sd = spectral_data(build_matrices(net), classify_topology(net))
+    assert sd.lambdas.min() < 0.0
+    a = solve_equilibrium(net, 201, route="spectral")
+    b = solve_equilibrium(net, 201, route="general")
+    assert np.max(np.abs(a.x - b.x)) <= 1e-10
+    assert np.max(np.abs(a.p - b.p)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
