@@ -12,9 +12,9 @@ from .network import (CompleteUniform, Diagnostic, GameMatrices, General,
                       classify_topology, network_from_dict, network_to_dict,
                       validate)
 from .solver import (BlockTransition, EquilibriumTrajectory, SpectralData,
-                     StateCostateSystem, assemble_system, kernel_cosh,
-                     kernel_coshm1, kernel_sinhc, solve_equilibrium,
-                     spectral_data, transition_blocks)
+                     assemble_system, kernel_cosh, kernel_coshm1,
+                     kernel_sinhc, solve_equilibrium, spectral_data,
+                     transition_blocks)
 from .verify import (BestResponseResult, CostBreakdown, StationarityReport,
                      best_response, deviation_test, evaluate_cost,
                      nash_residual, quadratic_cost, stationarity_check)

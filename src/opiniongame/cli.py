@@ -195,9 +195,11 @@ def save_scenario(net: InfluenceNetwork, path):
 
 
 def _resolve_network(args) -> InfluenceNetwork:
-    if getattr(args, "preset", None):
+    if args.preset and args.scenario:
+        raise CliInputError("give either --scenario or --preset, not both")
+    if args.preset:
         return get_preset(args.preset).network
-    if getattr(args, "scenario", None):
+    if args.scenario:
         return load_scenario(args.scenario)
     raise CliInputError("need --scenario PATH or --preset NAME")
 
@@ -282,15 +284,16 @@ def constant_candidate(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
 
 
 def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
-               candidate=None, residual_tol=None, deviation_tol=1e-9) -> RunReport:
+               candidate=None) -> RunReport:
     _check_samples(m)
     if count < 1:
         raise CliInputError(f"--count must be >= 1, got {count}")
-    if residual_tol is None:
-        # certification tolerance tied to h^2; 1e-6 at the default grid
-        # (m = 501 over T = 5)
-        h = net.T / (m - 1)
-        residual_tol = 0.01 * h * h
+    if seed < 0:
+        raise CliInputError(f"--seed must be >= 0, got {seed}")
+    # certification tolerance tied to h^2; 1e-6 at the default grid
+    # (m = 501 over T = 5)
+    h = net.T / (m - 1)
+    residual_tol = 0.01 * h * h
     if candidate == "constant":
         traj = constant_candidate(net, m)
     else:
@@ -298,7 +301,7 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
     gm = build_matrices(net)
     residual = nash_residual(net, traj, gm=gm)
     reports = stationarity_check(net, traj, gm=gm)
-    deviations = [deviation_test(net, traj, i, count, seed + i, tol=deviation_tol, gm=gm)
+    deviations = [deviation_test(net, traj, i, count, seed + i, gm=gm)
                   for i in range(traj.n)]
     passed = (residual <= residual_tol
               and all(r.passed for r in reports)

@@ -33,67 +33,23 @@ from .linalg import SingularMatrixError, exp_with_integral
 from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
                       SingleLeader, build_matrices, classify_topology)
 
-# |lambda| t^2 below this uses the power series; keeps kernels continuous at 0.
-_SERIES_CUTOFF = 1e-6
 # smallest normal float; phi(z) = -expm1(-z)/z is exactly 1 there.
 _TINY = np.finfo(float).tiny
 # horizon * sqrt(|W|) above this makes the general route refuse, not crawl.
 _MAX_STEPS = 1_000_000
+# max |p(T)| and the general route's segment seam defect; the verifier's
+# transversality check uses the same bound.
+BOUNDARY_TOL = 1e-8
+# spectral_data accepts eig only with |Im lambda| <= _IMAG_TOL max(1, |W|),
+# cond(V) <= _COND_MAX and |W V - V Lambda| <= _RESID_RTOL max(1, |W|).
+_IMAG_TOL = 1e-9
+_COND_MAX = 1e8
+_RESID_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels: entire functions of z = lambda * t^2
-
-
-def kernel_cosh(lam, t):
-    """cosh(sqrt(lam) t); cos(sqrt(-lam) t) for lam < 0; 1 at lam = 0."""
-    z = np.asarray(lam * np.square(t), dtype=float)
-    out = np.piecewise(
-        z,
-        [np.abs(z) < _SERIES_CUTOFF, z >= _SERIES_CUTOFF],
-        [
-            lambda s: 1.0 + s / 2.0 * (1.0 + s / 12.0 * (1.0 + s / 30.0)),
-            lambda s: np.cosh(np.sqrt(s)),
-            lambda s: np.cos(np.sqrt(-s)),
-        ],
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def kernel_sinhc(lam, t):
-    """sinh(sqrt(lam) t)/sqrt(lam); the lam -> 0 limit is t."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(lam * np.square(t), dtype=float)
-    out = t * np.piecewise(
-        z,
-        [np.abs(z) < _SERIES_CUTOFF, z >= _SERIES_CUTOFF],
-        [
-            lambda s: 1.0 + s / 6.0 * (1.0 + s / 20.0 * (1.0 + s / 42.0)),
-            lambda s: np.sinh(np.sqrt(s)) / np.sqrt(s),
-            lambda s: np.sin(np.sqrt(-s)) / np.sqrt(-s),
-        ],
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def kernel_coshm1(lam, t):
-    """(cosh(sqrt(lam) t) - 1)/lam; the lam -> 0 limit is t^2/2."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(lam * np.square(t), dtype=float)
-    out = np.square(t) * np.piecewise(
-        z,
-        [np.abs(z) < _SERIES_CUTOFF, z >= _SERIES_CUTOFF],
-        [
-            lambda s: 0.5 * (1.0 + s / 12.0 * (1.0 + s / 30.0 * (1.0 + s / 56.0))),
-            lambda s: (np.cosh(np.sqrt(s)) - 1.0) / s,
-            lambda s: (np.cos(np.sqrt(-s)) - 1.0) / s,
-        ],
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# the cosh-ratio family, used by the spectral route and the closed forms
+# the cosh-ratio family, used by the spectral route and the closed forms, and
+# the kernels: entire functions of z = lambda t^2 built on the same phi
 
 
 def _phi(z):
@@ -123,16 +79,37 @@ def cosh_ratios(lam, a, b):
     return r * (2.0 - z * phi_z), lam * sinhc, sinhc, gap
 
 
+def kernel_sinhc(lam, t):
+    """sinh(sqrt(lam) t)/sqrt(lam); the lam -> 0 limit is t.
+
+    This is t s(z) with z = lam t^2 and s(z) = sinh(sqrt z)/sqrt z, entire in
+    z: s = e^a phi(2a) for z = a^2 >= 0 and sinc(a/pi) for z = -a^2 < 0.
+    Each sign is evaluated only on its own entries, so a large negative z
+    never reaches exp."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(lam * np.square(t), dtype=float)
+    s = np.empty_like(z)
+    pos = z >= 0.0
+    a = np.sqrt(z[pos])
+    s[pos] = np.exp(a) * _phi(2.0 * a)
+    s[~pos] = np.sinc(np.sqrt(-z[~pos]) / np.pi)
+    out = t * s
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def kernel_coshm1(lam, t):
+    """(cosh(sqrt(lam) t) - 1)/lam = 2 sinh^2(sqrt(lam) t/2)/lam; the
+    lam -> 0 limit is t^2/2."""
+    return 2.0 * kernel_sinhc(lam, 0.5 * np.asarray(t, dtype=float)) ** 2
+
+
+def kernel_cosh(lam, t):
+    """cosh(sqrt(lam) t); cos(sqrt(-lam) t) for lam < 0; 1 at lam = 0."""
+    return 1.0 + lam * kernel_coshm1(lam, t)
+
+
 # ---------------------------------------------------------------------------
 # domain types
-
-
-@dataclass(frozen=True)
-class StateCostateSystem:
-    """The stacked 2n x 2n system matrix A = [[0,-I],[-W,0]]."""
-
-    A: np.ndarray
-    n: int
 
 
 @dataclass(frozen=True)
@@ -183,18 +160,19 @@ class EquilibriumTrajectory:
 # block machinery
 
 
-def assemble_system(gm: GameMatrices) -> StateCostateSystem:
+def assemble_system(gm: GameMatrices) -> np.ndarray:
+    """The stacked 2n x 2n system matrix A = [[0, -I], [-W, 0]]."""
     n = gm.W.shape[0]
     A = np.zeros((2 * n, 2 * n))
     A[:n, n:] = -np.eye(n)
     A[n:, :n] = -gm.W
-    return StateCostateSystem(A=A, n=n)
+    return A
 
 
-def transition_blocks(sys: StateCostateSystem, t) -> BlockTransition:
+def transition_blocks(A: np.ndarray, t) -> BlockTransition:
     """Partition e^{At} and its running integral into the n x n blocks."""
-    Phi, Psi = exp_with_integral(sys.A, t)
-    n = sys.n
+    Phi, Psi = exp_with_integral(A, t)
+    n = len(A) // 2
     return BlockTransition(
         t=float(t),
         phi11=Phi[:n, :n], phi12=Phi[:n, n:], phi21=Phi[n:, :n], phi22=Phi[n:, n:],
@@ -238,13 +216,13 @@ def _leader_spectrum(gm):
     return SpectralData(lambdas=q.copy(), V=V, Vinv=Vinv)
 
 
-def spectral_data(gm: GameMatrices, topology=None, *,
-                  imag_tol=1e-9, resid_rtol=1e-8, cond_max=1e8):
+def spectral_data(gm: GameMatrices, topology=None):
     """Real eigendecomposition of W when one is reliably available, else None.
 
     Known topologies get exact eigenbases; symmetric W goes through eigh;
     anything else through eig, accepted only if the spectrum is real to
-    tolerance, V is well conditioned and W is reconstructed to resid_rtol.
+    _IMAG_TOL and V is well conditioned; every basis must reconstruct W to
+    _RESID_RTOL.
     """
     W = gm.W
     n = W.shape[0]
@@ -260,15 +238,15 @@ def spectral_data(gm: GameMatrices, topology=None, *,
             sd = SpectralData(lambdas=lam, V=V, Vinv=V.T.copy())
         else:
             lam, V = np.linalg.eig(W)
-            if np.max(np.abs(lam.imag)) > imag_tol * max(1.0, wnorm):
+            if np.max(np.abs(lam.imag)) > _IMAG_TOL * max(1.0, wnorm):
                 return None
             lam = lam.real
             V = V.real
-            if not np.all(np.isfinite(V)) or np.linalg.cond(V) > cond_max:
+            if not np.all(np.isfinite(V)) or np.linalg.cond(V) > _COND_MAX:
                 return None
             sd = SpectralData(lambdas=lam, V=V, Vinv=np.linalg.inv(V))
     resid = np.linalg.norm(W @ sd.V - sd.V * sd.lambdas)
-    if resid > resid_rtol * max(np.linalg.norm(W), 1.0):
+    if resid > _RESID_RTOL * max(np.linalg.norm(W), 1.0):
         return None
     return sd
 
@@ -277,7 +255,7 @@ def spectral_data(gm: GameMatrices, topology=None, *,
 # trajectory propagation
 
 
-def _propagate_general(gm, x0, grid, boundary_tol):
+def _propagate_general(gm, x0, grid):
     """Invariant imbedding (Ascher, Mattheij & Russell 1995, ch. 4) over stable
     segments.  With exact steps [x+; 1; p+] = M [x; 1; p], M = [[phi11, a,
     phi12], [0, 1, 0], [phi21, b, phi22]] (a = psi12 K x0, b = psi22 K x0),
@@ -287,7 +265,7 @@ def _propagate_general(gm, x0, grid, boundary_tol):
     sqrt(|W|) h <= 1 and so does every segment of c fine steps; gains are kept
     about every sqrt(S) boundaries and recomputed block by block.  The fine
     steps inside all S segments march as c batched products; one more product
-    lands on the next boundary, and a seam defect above boundary_tol fails."""
+    lands on the next boundary, and a seam defect above BOUNDARY_TOL fails."""
     m, n = len(grid), len(x0)
     needed = grid[-1] * math.sqrt(np.linalg.norm(gm.W, np.inf))  # steps for sqrt(|W|) h <= 1
     if not needed <= _MAX_STEPS:
@@ -297,10 +275,10 @@ def _propagate_general(gm, x0, grid, boundary_tol):
     c = max(1, math.floor(steps / max(needed, 1.0)))  # fine steps per segment
     S = -(-steps // c)
     h = grid[-1] / steps
-    sys, kx0 = assemble_system(gm), gm.k * x0
+    A, kx0 = assemble_system(gm), gm.k * x0
 
     def stepper(t):  # M over a time t, with its phi22 and [phi21 | b] for the sweep
-        bt = transition_blocks(sys, t)
+        bt = transition_blocks(A, t)
         M = np.block([[bt.phi11, (bt.psi12 @ kx0)[:, None], bt.phi12],
                       [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, n))],
                       [bt.phi21, (bt.psi22 @ kx0)[:, None], bt.phi22]])
@@ -347,8 +325,8 @@ def _propagate_general(gm, x0, grid, boundary_tol):
                 x[j::c], p[j::c] = marched[:rows, :n], marched[:rows, n + 1:]
         # every full segment's end against the next boundary state
         defect = float(np.max(np.abs(marched[:len(bounds) - 1] - bounds[1:])))
-        if defect > boundary_tol * max(1.0, float(np.max(np.abs(bounds)))):
-            raise ArithmeticError(f"segment seam defect {defect:.3e} exceeds {boundary_tol:.3e}")
+        if defect > BOUNDARY_TOL * max(1.0, float(np.max(np.abs(bounds)))):
+            raise ArithmeticError(f"segment seam defect {defect:.3e} exceeds {BOUNDARY_TOL:.3e}")
     return x, p
 
 
@@ -376,14 +354,14 @@ def _propagate_spectral(sd, gm, x0, grid):
 
 
 def solve_equilibrium(net: InfluenceNetwork, m: int, *,
-                      boundary_tol=1e-8, route="auto") -> EquilibriumTrajectory:
+                      route="auto") -> EquilibriumTrajectory:
     """Sample the unique equilibrium trajectory on a uniform m-point grid.
 
     route picks the evaluation path: "auto" prefers the spectral route and
     falls back to the general one, "spectral"/"general" force a path.  The
     returned trajectory carries x, the jointly propagated costate p, and
     u = -p; the terminal costate, and on the general route each segment
-    seam, is checked against boundary_tol so that an ill-conditioned
+    seam, is checked against BOUNDARY_TOL so that an ill-conditioned
     propagation fails loudly instead of returning noise.
     """
     if m < 2:
@@ -401,12 +379,11 @@ def solve_equilibrium(net: InfluenceNetwork, m: int, *,
     if sd is not None:
         x, p = _propagate_spectral(sd, gm, net.x0, grid)
     else:
-        x, p = _propagate_general(gm, net.x0, grid, boundary_tol)
+        x, p = _propagate_general(gm, net.x0, grid)
     x[0] = net.x0  # t = 0 is the initial condition by definition
     pT = float(np.max(np.abs(p[-1])))
-    if pT > boundary_tol:
+    if pT > BOUNDARY_TOL:
         raise ArithmeticError(
-            f"terminal costate residual {pT:.3e} exceeds {boundary_tol:.3e}; "
+            f"terminal costate residual {pT:.3e} exceeds {BOUNDARY_TOL:.3e}; "
             "the instance is too stiff for the selected route")
-    traj = EquilibriumTrajectory(grid=grid, x=x, p=p, u=-p)
-    return traj
+    return EquilibriumTrajectory(grid=grid, x=x, p=p, u=-p)

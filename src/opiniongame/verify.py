@@ -26,7 +26,16 @@ import numpy as np
 import scipy.linalg
 
 from .network import GameMatrices, InfluenceNetwork, build_matrices
-from .solver import EquilibriumTrajectory
+from .solver import BOUNDARY_TOL, EquilibriumTrajectory
+
+# best_response fails above this gradient norm relative to max(1, |b|).
+_GRAD_TOL = 1e-10
+# stationarity_check's bound on max |u + p|.
+_CONTROL_TOL = 1e-12
+# deviation_test's probe amplitudes, relative to |u_i|_inf + 1, and the
+# largest cost reduction a probe may find.
+_AMPLITUDES = (1e-3, 1e-2, 1e-1)
+_DEVIATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -165,16 +174,14 @@ class _Transcription:
         self.s = simpson_weights(m, h)
         self.energy = np.full(m, 2.0 * h / 3.0)  # diagonal of M; off-diagonal h/6
         self.energy[[0, -1]] = h / 3.0
-        self.q = float((build_matrices(net) if gm is None else gm).q[i])
+        gm = build_matrices(net) if gm is None else gm
+        self.q = float(gm.q[i])
         self.x0i = float(net.x0[i])
-        b = np.full(m, net.k[i] * net.x0[i])
-        c = np.full(m, 0.5 * net.k[i] * net.x0[i] ** 2)
-        for (a, j), w in net.edges.items():
-            if a == i:
-                b += w * traj.x[:, j]
-                c += 0.5 * w * traj.x[:, j] ** 2
-        self.b = b
-        self.c = c
+        w = -gm.W[i]  # agent i's influence weights, zero on itself
+        w[i] = 0.0
+        kx0 = net.k[i] * net.x0[i]
+        self.b = kx0 + traj.x @ w
+        self.c = 0.5 * (kx0 * net.x0[i] + np.square(traj.x) @ w)
 
     def state(self, u):
         steps = np.cumsum((0.5 * self.h) * (u[..., :-1] + u[..., 1:]), axis=-1)
@@ -229,21 +236,21 @@ class _Transcription:
         return scipy.linalg.solve_banded((4, 4), ab, rhs)[iu]
 
 
-def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
-                  grad_tol=1e-10, *, gm: GameMatrices | None = None) -> BestResponseResult:
+def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int, *,
+                  gm: GameMatrices | None = None) -> BestResponseResult:
     """Minimize agent i's transcribed cost against the frozen rivals in traj.
 
     The objective is a strictly convex quadratic in the sampled control, so
     the minimizer comes from one banded KKT solve in O(m) (see
     _Transcription.minimize); the gradient norm is reported and checked
-    against grad_tol.  gm are the network's matrices if the caller has built
+    against _GRAD_TOL.  gm are the network's matrices if the caller has built
     them already (and so validated net).
     """
     model = _Transcription(net, traj, i, gm)
     u = model.minimize()
     gnorm = float(np.linalg.norm(model.gradient(u)))
     scale = max(1.0, float(np.linalg.norm(model.b)))
-    if gnorm > grad_tol * scale:
+    if gnorm > _GRAD_TOL * scale:
         raise RuntimeError(
             f"best-response solve did not reach stationarity for agent {i + 1}: "
             f"gradient norm {gnorm:.3e}")
@@ -253,7 +260,7 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
                               cost=cost, gap=gap, gradient_norm=gnorm)
 
 
-def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None, *,
+def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
                   gm: GameMatrices | None = None) -> float:
     """Worst relative best-response improvement over all agents.
 
@@ -266,8 +273,6 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None, *,
     The transcription is second order, so du = O(h^2) (about 4x smaller per
     grid doubling) and the residual is O(h^4) (about 16x smaller).
     """
-    if m is not None and m != len(traj.grid):
-        raise ValueError(f"trajectory has {len(traj.grid)} samples, expected m={m}")
     gm = build_matrices(net) if gm is None else gm
     worst = 0.0
     for i in range(traj.n):
@@ -278,9 +283,10 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, m=None, *,
 
 
 def stationarity_check(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
-                       control_tol=1e-12, boundary_tol=1e-8,
                        gm: GameMatrices | None = None) -> list[StationarityReport]:
     """First-order optimality residuals per agent.
+
+    |u + p| is held to _CONTROL_TOL and |p(T)| to the solver's BOUNDARY_TOL.
 
     The costate equation is checked with central differences; its tolerance
     is the truncation bound (h^2/6) max |p'''| with p''' = W(K x0 - W x)
@@ -301,31 +307,29 @@ def stationarity_check(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
         reports.append(StationarityReport(
             agent=i,
             control_residual=float(np.max(np.abs(u[:, i] + p[:, i]))),
-            control_tol=control_tol,
+            control_tol=_CONTROL_TOL,
             costate_residual=float(costate_resid[i]),
             costate_tol=float(costate_tol[i]),
             initial_residual=float(abs(x[0, i] - net.x0[i])),
             initial_tol=0.0,
             transversality_residual=float(abs(p[-1, i])),
-            transversality_tol=boundary_tol,
+            transversality_tol=BOUNDARY_TOL,
         ))
     return reports
 
 
 def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
-                   count: int, seed: int, *,
-                   amplitudes=(1e-3, 1e-2, 1e-1), tol=1e-9,
-                   gm: GameMatrices | None = None):
+                   count: int, seed: int, *, gm: GameMatrices | None = None):
     """Monte-Carlo probe of the no-profitable-deviation property for agent i.
 
     Draws `count` band-limited perturbations (random low-order Fourier sums,
-    normalized to unit sup norm), applies each at every amplitude relative
-    to |u_i|_inf + 1, and recomputes the transcribed cost with rivals
-    frozen.  All perturbations of one amplitude are costed as one
-    count x m batch; the base cost goes through the same batched path, so
-    a zero amplitude gives a gain of exactly zero.  Returns
+    normalized to unit sup norm), applies each at every amplitude in
+    _AMPLITUDES relative to |u_i|_inf + 1, and recomputes the transcribed
+    cost with rivals frozen.  All perturbations of one amplitude are costed
+    as one count x m batch; the base cost goes through the same batched
+    path, so a zero amplitude gives a gain of exactly zero.  Returns
     (passed, worst_gain) where worst_gain is the largest cost reduction any
-    perturbation achieved; passing means no reduction beyond tol.
+    perturbation achieved; passing means no reduction beyond _DEVIATION_TOL.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -339,7 +343,7 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     delta = delta[peak != 0.0] / peak[peak != 0.0, None]
     scale = float(np.max(np.abs(u_base))) + 1.0
     worst_gain = 0.0
-    for amp in amplitudes:
+    for amp in _AMPLITUDES:
         gains = base_cost - model.cost(u_base + (amp * scale) * delta)
         worst_gain = max(worst_gain, float(np.max(gains, initial=0.0)))
-    return worst_gain <= tol, worst_gain
+    return worst_gain <= _DEVIATION_TOL, worst_gain

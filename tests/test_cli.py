@@ -324,6 +324,28 @@ def test_bad_probe_count_fails_before_solving(capsys, monkeypatch, count):
         cmd_verify(PRESETS["fig2b"].network, 301, count=int(count), seed=0)
 
 
+def test_negative_seed_fails_before_solving(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --seed")
+
+    monkeypatch.setattr(cli_module, "solve_equilibrium", no_solve)
+    assert main(["verify", "--preset", "fig1b", "--seed", "-1"]) == EXIT_INPUT
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(CliInputError, match="--seed must be >= 0, got -3"):
+        cmd_verify(PRESETS["fig2b"].network, 301, count=5, seed=-3)
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify"], ["limits"]])
+def test_preset_and_scenario_together_fail(capsys, tmp_path, command):
+    # the scenario path does not exist: the clash is reported before any read
+    argv = command + ["--preset", "fig1b", "--scenario", str(tmp_path / "missing.json")]
+    if command == ["simulate"]:
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == EXIT_INPUT
+    assert "either --scenario or --preset, not both" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figures_accepts_any_sample_count(tmp_path):
     assert main(["figures", "--which", "fig1b", "--samples", "2",
                  "--out", str(tmp_path)]) == EXIT_OK

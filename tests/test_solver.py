@@ -76,6 +76,35 @@ def test_kernel_continuity_across_zero():
                 kernel_series(lam, t, 2) / 1.0, rel=1e-12, abs=1e-15)
 
 
+# values of the former three-branch power-series kernels, float64 repr
+KERNEL_PINS = [
+    # lam, t, cosh, sinhc, coshm1
+    (-1e6, 1.0, 0.5623790762907029, 0.0008268795405320025, 4.3762092370929706e-07),
+    (-4.0, 1.0, -0.4161468365471424, 0.45464871341284085, 0.3540367091367856),
+    (1e-300, 1.0, 1.0, 1.0, 0.5),
+    (4.0, 1.0, 3.7621956910836314, 1.8134302039235093, 0.6905489227709078),
+    (1e5, 1.0, 1.0837866822866022e+137, 3.4272344137829266e+134, 1.0837866822866021e+132),
+    (-1e6, 5.0, 0.15466840618074712, -0.0009879664387667767, 8.453315938192529e-07),
+]
+
+
+@pytest.mark.parametrize("lam, t, cosh, sinhc, coshm1", KERNEL_PINS)
+def test_kernels_match_pinned_values(lam, t, cosh, sinhc, coshm1):
+    # lam = -1e6 must stay on the sinc branch: exp(1000) would overflow
+    assert kernel_cosh(lam, t) == pytest.approx(cosh, rel=1e-13, abs=0.0)
+    assert kernel_sinhc(lam, t) == pytest.approx(sinhc, rel=1e-13, abs=0.0)
+    assert kernel_coshm1(lam, t) == pytest.approx(coshm1, rel=1e-13, abs=0.0)
+
+
+def test_kernels_broadcast_mixed_signs():
+    lam, t = np.array([-1e6, -4.0, 0.0, 4.0, 1e4]), np.array([[1.0], [5.0]])
+    for kernel in (kernel_cosh, kernel_sinhc, kernel_coshm1):
+        got = kernel(lam, t)
+        assert got.shape == (2, 5)
+        for (r, c), value in np.ndenumerate(got):
+            assert value == pytest.approx(kernel(float(lam[c]), float(t[r, 0])), rel=1e-14)
+
+
 def cosh_ratios_reference(lam, a, b):
     """cosh_ratios at 80 digits; the gap keeps its digits when a is near b."""
     import mpmath
@@ -119,21 +148,21 @@ def test_cosh_ratios_broadcast_over_modes_and_times():
 
 def test_assemble_system_single_agent():
     net = InfluenceNetwork(n=1, edges={}, k=[0.7], x0=[0.5], T=1.0)
-    sys = assemble_system(build_matrices(net))
+    A = assemble_system(build_matrices(net))
     lam = 0.7
-    np.testing.assert_allclose(sys.A, [[0.0, -1.0], [-lam, 0.0]])
+    np.testing.assert_allclose(A, [[0.0, -1.0], [-lam, 0.0]])
 
 
 def test_assemble_system_blocks_and_trace():
     net = complete_uniform_net(3, 1.0, 0.5, [0.1, 0.5, 0.9], 2.0)
     gm = build_matrices(net)
-    sys = assemble_system(gm)
+    A = assemble_system(gm)
     n = 3
-    np.testing.assert_array_equal(sys.A[:n, :n], np.zeros((n, n)))
-    np.testing.assert_array_equal(sys.A[n:, n:], np.zeros((n, n)))
-    np.testing.assert_array_equal(sys.A[:n, n:], -np.eye(n))
-    np.testing.assert_array_equal(sys.A[n:, :n], -gm.W)
-    assert np.trace(sys.A) == 0.0
+    np.testing.assert_array_equal(A[:n, :n], np.zeros((n, n)))
+    np.testing.assert_array_equal(A[n:, n:], np.zeros((n, n)))
+    np.testing.assert_array_equal(A[:n, n:], -np.eye(n))
+    np.testing.assert_array_equal(A[n:, :n], -gm.W)
+    assert np.trace(A) == 0.0
 
 
 def test_transition_blocks_at_zero():
