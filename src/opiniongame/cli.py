@@ -19,8 +19,8 @@ import numpy as np
 from . import analytic
 from .linalg import SingularMatrixError
 from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
-                      build_matrices, classify_topology, network_from_dict,
-                      network_to_dict, validate)
+                      classify_topology, network_from_dict, network_to_dict,
+                      validate)
 from .solver import EquilibriumTrajectory, solve_equilibrium
 from .verify import (deviation_test, evaluate_cost, nash_residual,
                      stationarity_check)
@@ -298,10 +298,9 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
         traj = constant_candidate(net, m)
     else:
         traj = solve_equilibrium(net, m)
-    gm = build_matrices(net)
-    residual = nash_residual(net, traj, gm=gm)
-    reports = stationarity_check(net, traj, gm=gm)
-    deviations = [deviation_test(net, traj, i, count, seed + i, gm=gm)
+    residual = nash_residual(net, traj)
+    reports = stationarity_check(net, traj)
+    deviations = [deviation_test(net, traj, i, count, seed + i)
                   for i in range(traj.n)]
     passed = (residual <= residual_tol
               and all(r.passed for r in reports)
@@ -364,6 +363,8 @@ def cmd_figures(which, out_dir, m=501):
     else:
         raise CliInputError(f"unknown figure id {which!r}; "
                             f"choose from {FIGURE_NAMES + ['all']}")
+    if m < 2:
+        raise CliInputError(f"--samples must be >= 2, got {m}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

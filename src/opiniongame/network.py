@@ -8,9 +8,11 @@ files use 1-based indices.
 
 from __future__ import annotations
 
+import functools
 import numbers
+import types
 from dataclasses import dataclass
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -22,10 +24,11 @@ class InfluenceNetwork:
     edges maps ordered index pairs (i, j) to the nonnegative weight with
     which agent j influences agent i; missing pairs mean weight zero.
     k is the stubbornness vector, x0 the initial opinions, T the horizon.
+    Every field is read-only, so the cached `matrices` never go stale.
     """
 
     n: int
-    edges: dict
+    edges: Mapping
     k: np.ndarray
     x0: np.ndarray
     T: float
@@ -38,7 +41,12 @@ class InfluenceNetwork:
         x0.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "edges", dict(self.edges))
+        object.__setattr__(self, "edges", types.MappingProxyType(dict(self.edges)))
+
+    @functools.cached_property
+    def matrices(self) -> GameMatrices:
+        """build_matrices(self) once per instance; if invalid, raises on every access."""
+        return build_matrices(self)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dgesv as _gesv
 
 from .linalg import SingularMatrixError, exp_with_integral
 from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
-                      SingleLeader, build_matrices, classify_topology)
+                      SingleLeader, classify_topology)
 
 # smallest normal float; phi(z) = -expm1(-z)/z is exactly 1 there.
 _TINY = np.finfo(float).tiny
@@ -366,7 +366,7 @@ def solve_equilibrium(net: InfluenceNetwork, m: int, *,
     """
     if m < 2:
         raise ValueError("need at least two grid samples")
-    gm = build_matrices(net)
+    gm = net.matrices
     grid = np.linspace(0.0, net.T, m)
     sd = None
     if route not in ("auto", "spectral", "general"):

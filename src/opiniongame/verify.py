@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .network import GameMatrices, InfluenceNetwork, build_matrices
+from .network import InfluenceNetwork
 from .solver import BOUNDARY_TOL, EquilibriumTrajectory
 
 # best_response fails above this gradient norm relative to max(1, |b|).
@@ -75,20 +75,17 @@ class StationarityReport:
 
     agent: int
     control_residual: float      # max |u + p|
-    control_tol: float
     costate_residual: float      # central-difference dp/dt vs -dH/dx
-    costate_tol: float
+    costate_tol: float           # the only tolerance that varies by agent
     initial_residual: float      # |x(0) - x0|
-    initial_tol: float
     transversality_residual: float  # |p(T)|
-    transversality_tol: float
 
     @property
     def passed(self) -> bool:
-        return (self.control_residual <= self.control_tol
+        return (self.control_residual <= _CONTROL_TOL
                 and self.costate_residual <= self.costate_tol
-                and self.initial_residual <= self.initial_tol
-                and self.transversality_residual <= self.transversality_tol)
+                and self.initial_residual <= 0.0
+                and self.transversality_residual <= BOUNDARY_TOL)
 
 
 def simpson_weights(m: int, h: float) -> np.ndarray:
@@ -168,16 +165,15 @@ class _Transcription:
     Costs and states accept a stack of controls along the leading axis.
     """
 
-    def __init__(self, net, traj, i, gm=None):
+    def __init__(self, net, traj, i):
         self.h = h = _grid_step(traj.grid)
         m = len(traj.grid)
         self.s = simpson_weights(m, h)
         self.energy = np.full(m, 2.0 * h / 3.0)  # diagonal of M; off-diagonal h/6
         self.energy[[0, -1]] = h / 3.0
-        gm = build_matrices(net) if gm is None else gm
-        self.q = float(gm.q[i])
+        self.q = float(net.matrices.q[i])
         self.x0i = float(net.x0[i])
-        w = -gm.W[i]  # agent i's influence weights, zero on itself
+        w = -net.matrices.W[i]  # agent i's influence weights, zero on itself
         w[i] = 0.0
         kx0 = net.k[i] * net.x0[i]
         self.b = kx0 + traj.x @ w
@@ -236,17 +232,16 @@ class _Transcription:
         return scipy.linalg.solve_banded((4, 4), ab, rhs)[iu]
 
 
-def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int, *,
-                  gm: GameMatrices | None = None) -> BestResponseResult:
+def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory,
+                  i: int) -> BestResponseResult:
     """Minimize agent i's transcribed cost against the frozen rivals in traj.
 
     The objective is a strictly convex quadratic in the sampled control, so
     the minimizer comes from one banded KKT solve in O(m) (see
     _Transcription.minimize); the gradient norm is reported and checked
-    against _GRAD_TOL.  gm are the network's matrices if the caller has built
-    them already (and so validated net).
+    against _GRAD_TOL.
     """
-    model = _Transcription(net, traj, i, gm)
+    model = _Transcription(net, traj, i)
     u = model.minimize()
     gnorm = float(np.linalg.norm(model.gradient(u)))
     scale = max(1.0, float(np.linalg.norm(model.b)))
@@ -260,8 +255,7 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int, *,
                               cost=cost, gap=gap, gradient_norm=gnorm)
 
 
-def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
-                  gm: GameMatrices | None = None) -> float:
+def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> float:
     """Worst relative best-response improvement over all agents.
 
     Zero (up to discretization) certifies the open-loop Nash property: no
@@ -273,17 +267,16 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
     The transcription is second order, so du = O(h^2) (about 4x smaller per
     grid doubling) and the residual is O(h^4) (about 16x smaller).
     """
-    gm = build_matrices(net) if gm is None else gm
     worst = 0.0
     for i in range(traj.n):
-        res = best_response(net, traj, i, gm=gm)
+        res = best_response(net, traj, i)
         candidate_cost = res.cost + res.gap
         worst = max(worst, res.gap / max(1.0, candidate_cost))
     return worst
 
 
-def stationarity_check(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
-                       gm: GameMatrices | None = None) -> list[StationarityReport]:
+def stationarity_check(net: InfluenceNetwork,
+                       traj: EquilibriumTrajectory) -> list[StationarityReport]:
     """First-order optimality residuals per agent.
 
     |u + p| is held to _CONTROL_TOL and |p(T)| to the solver's BOUNDARY_TOL.
@@ -292,7 +285,7 @@ def stationarity_check(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
     is the truncation bound (h^2/6) max |p'''| with p''' = W(K x0 - W x)
     evaluated along the trajectory, padded by a small safety factor.
     """
-    gm = build_matrices(net) if gm is None else gm
+    gm = net.matrices
     grid = traj.grid
     h = _grid_step(grid)
     x, p, u = traj.x, traj.p, traj.u
@@ -307,19 +300,16 @@ def stationarity_check(net: InfluenceNetwork, traj: EquilibriumTrajectory, *,
         reports.append(StationarityReport(
             agent=i,
             control_residual=float(np.max(np.abs(u[:, i] + p[:, i]))),
-            control_tol=_CONTROL_TOL,
             costate_residual=float(costate_resid[i]),
             costate_tol=float(costate_tol[i]),
             initial_residual=float(abs(x[0, i] - net.x0[i])),
-            initial_tol=0.0,
             transversality_residual=float(abs(p[-1, i])),
-            transversality_tol=BOUNDARY_TOL,
         ))
     return reports
 
 
 def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
-                   count: int, seed: int, *, gm: GameMatrices | None = None):
+                   count: int, seed: int):
     """Monte-Carlo probe of the no-profitable-deviation property for agent i.
 
     Draws `count` band-limited perturbations (random low-order Fourier sums,
@@ -333,7 +323,7 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    model = _Transcription(net, traj, i, gm)
+    model = _Transcription(net, traj, i)
     u_base = traj.u[:, i]
     base_cost = model.cost(u_base[None])[0]
     coef = np.random.default_rng(seed).standard_normal((count, 2, 6))

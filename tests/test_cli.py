@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -352,15 +353,33 @@ def test_figures_accepts_any_sample_count(tmp_path):
     assert len((tmp_path / "fig1b.csv").read_text().splitlines()) == 3
 
 
-@pytest.mark.parametrize("candidate, want", [(None, 2), ("constant", 1)])
-def test_verify_validates_network_once_beyond_the_solver(monkeypatch, candidate, want):
-    # one validation in solve_equilibrium (skipped for the constant
-    # candidate) and one for the matrices shared by every verifier call
+@pytest.mark.parametrize("samples", ["1", "-3"])
+def test_figures_rejects_bad_sample_count_before_writing(capsys, tmp_path, samples):
+    out = tmp_path / "new"
+    assert main(["figures", "--which", "fig1b", "--samples", samples,
+                 "--out", str(out)]) == EXIT_INPUT
+    assert f"--samples must be >= 2, got {samples}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("candidate", [None, "constant"])
+def test_verify_validates_a_fresh_network_once(monkeypatch, candidate):
+    # the solver and every verifier call share the matrices cached on the
+    # network; PRESETS networks keep theirs across tests, so use a fresh copy
+    net = replace(PRESETS["fig2b"].network)
     calls = []
     original = network_module.validate
     monkeypatch.setattr(network_module, "validate",
                         lambda net: calls.append(net) or original(net))
-    report = cmd_verify(PRESETS["fig2b"].network, 301, count=5, seed=0,
-                        candidate=candidate)
+    report = cmd_verify(net, 301, count=5, seed=0, candidate=candidate)
     assert report.passed == (candidate is None)
-    assert len(calls) == want
+    assert len(calls) == 1
+
+
+def test_ci_console_commands_succeed(capsys):
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    commands = [line.split()[1:] for line in workflow.read_text().splitlines()
+                if line.strip().startswith("opiniongame ")]
+    assert commands
+    for argv in commands:
+        assert main(argv) == EXIT_OK, " ".join(argv)

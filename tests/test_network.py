@@ -1,10 +1,13 @@
 """Tests for network instances, matrix assembly, classification and the
 scenario schema."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import complete_uniform_net, leader_net, random_net
+import opiniongame.network as network_module
 from opiniongame.network import (CompleteUniform, General, InfluenceNetwork,
                                  SingleLeader, build_matrices,
                                  classify_topology, network_from_dict,
@@ -94,6 +97,47 @@ def test_build_matrices_rejects_invalid():
     net = InfluenceNetwork(n=2, edges={(0, 0): 1.0}, k=[0, 0], x0=[0, 0], T=1.0)
     with pytest.raises(ValueError, match="self-edge"):
         build_matrices(net)
+
+
+def test_network_fields_are_read_only():
+    net = leader_net(2, 1.0, 0.1, [0.0, 1.0], 1.0)
+    with pytest.raises(TypeError):
+        net.edges[(1, 0)] = 5.0
+    with pytest.raises(ValueError):
+        net.k[0] = 1.0
+    with pytest.raises(ValueError):
+        net.x0[0] = 1.0
+    assert net.edges == {(1, 0): 1.0}
+
+
+def test_matrices_are_assembled_once_per_instance(monkeypatch):
+    net = complete_uniform_net(3, 1.0, 0.5, [0.1, 0.5, 0.9], 2.0)
+    calls = []
+    original = network_module.validate
+    monkeypatch.setattr(network_module, "validate",
+                        lambda net: calls.append(net) or original(net))
+    assert net.matrices is net.matrices
+    assert len(calls) == 1
+    np.testing.assert_array_equal(net.matrices.W, build_matrices(net).W)
+
+
+def test_replaced_network_gets_its_own_matrices():
+    net = leader_net(3, 1.0, 0.2, [0.1, 0.5, 0.9], 2.0)
+    W = net.matrices.W.copy()
+    heavier = replace(net, edges={**net.edges, (2, 0): 5.0})
+    assert heavier.matrices.W[2, 0] == -5.0 and heavier.matrices.q[2] == pytest.approx(5.2)
+    np.testing.assert_array_equal(heavier.matrices.W, build_matrices(heavier).W)
+    np.testing.assert_array_equal(net.matrices.W, W)
+
+
+def test_invalid_network_raises_on_every_matrices_access():
+    net = InfluenceNetwork(n=2, edges={(0, 0): 1.0}, k=[0.1, 0.1], x0=[0.2, 0.8], T=1.0)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="self-edge on agent 1") as info:
+            net.matrices
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_classify_complete_uniform():

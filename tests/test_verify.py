@@ -2,6 +2,7 @@
 and deviation probes."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from conftest import random_net
 import opiniongame.network as network_module
 import opiniongame.verify as verify_module
 from opiniongame.cli import PRESETS, constant_candidate
-from opiniongame.network import InfluenceNetwork, build_matrices
-from opiniongame.solver import solve_equilibrium
+from opiniongame.network import InfluenceNetwork
+from opiniongame.solver import BOUNDARY_TOL, solve_equilibrium
 from opiniongame.verify import (_Transcription, best_response,
                                 cumulative_trapezoid_matrix, deviation_test,
                                 evaluate_cost, nash_residual, quadratic_cost,
@@ -314,14 +315,15 @@ def test_verifier_forms_no_dense_matrix(fig1b_net, monkeypatch):
 
 def test_verifier_validates_network_once_per_call(fig1b_net, monkeypatch):
     traj = solve_equilibrium(fig1b_net, 201)
+    net = replace(fig1b_net)  # a fresh instance: the solve cached fig1b_net's matrices
     calls = []
     original = network_module.validate
     monkeypatch.setattr(network_module, "validate",
                         lambda net: calls.append(net) or original(net))
-    nash_residual(fig1b_net, traj)
+    nash_residual(net, traj)
     assert len(calls) == 1
-    deviation_test(fig1b_net, traj, 3, count=5, seed=0)
-    assert len(calls) == 2
+    deviation_test(net, traj, 3, count=5, seed=0)
+    assert len(calls) == 1
 
 
 def test_verifier_rejects_invalid_network(fig1b_net):
@@ -361,20 +363,23 @@ def test_transcription_forcing_matches_edge_loop(name):
         np.testing.assert_allclose(model.c, c, rtol=1e-13, atol=0.0)
 
 
-def test_verifier_reuses_given_matrices(fig1b_net, monkeypatch):
-    traj = solve_equilibrium(fig1b_net, 201)
-    gm = build_matrices(fig1b_net)
-    expected = (nash_residual(fig1b_net, traj), stationarity_check(fig1b_net, traj),
-                deviation_test(fig1b_net, traj, 3, count=5, seed=0))
+def test_verifier_reuses_network_matrices(fig1b_net, monkeypatch):
+    def run(net):
+        traj = solve_equilibrium(net, 201)
+        return traj, (nash_residual(net, traj), stationarity_check(net, traj),
+                      deviation_test(net, traj, 3, count=5, seed=0))
+
+    ref_traj, expected = run(replace(fig1b_net))
+    net = replace(fig1b_net)
     calls = []
     original = network_module.validate
     monkeypatch.setattr(network_module, "validate",
                         lambda net: calls.append(net) or original(net))
-    got = (nash_residual(fig1b_net, traj, gm=gm), stationarity_check(fig1b_net, traj, gm=gm),
-           deviation_test(fig1b_net, traj, 3, count=5, seed=0, gm=gm))
-    assert calls == [] and got == expected
-    stationarity_check(fig1b_net, traj)
-    assert len(calls) == 1
+    traj, got = run(net)
+    assert len(calls) == 1 and calls[0] is net
+    assert got == expected
+    np.testing.assert_array_equal(traj.x, ref_traj.x)
+    np.testing.assert_array_equal(traj.p, ref_traj.p)
 
 
 def test_stationarity_check_rejects_invalid_network(fig1b_net):
@@ -392,6 +397,19 @@ def test_stationarity_clean_on_solver_output(fig2b_net):
     assert all(r.control_residual <= 1e-12 for r in reports)
     assert all(r.initial_residual == 0.0 for r in reports)
     assert all(r.transversality_residual <= 1e-8 for r in reports)
+
+
+def test_stationarity_holds_each_residual_to_its_bound(fig2b_net):
+    traj = solve_equilibrium(fig2b_net, 301)
+    for report in stationarity_check(fig2b_net, traj):
+        assert report.passed
+        bounds = {"control_residual": verify_module._CONTROL_TOL,
+                  "costate_residual": report.costate_tol,
+                  "initial_residual": 0.0,
+                  "transversality_residual": BOUNDARY_TOL}
+        for field, bound in bounds.items():
+            assert replace(report, **{field: bound}).passed
+            assert not replace(report, **{field: np.nextafter(bound, np.inf)}).passed
 
 
 def test_stationarity_flags_zeroed_costate(fig1b_net):
