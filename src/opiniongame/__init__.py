@@ -1,13 +1,12 @@
 """Open-loop Nash equilibrium solver and simulator for opinion games on
 influence networks."""
 
-from .analytic import (CompleteUniformParams, LeaderParams, complete_limit,
-                       complete_pairwise_distance, complete_params,
-                       complete_trajectory, epsilon_consensus_time, gamma,
-                       leader_distance, leader_limit, leader_params,
-                       leader_trajectory)
+from .analytic import (complete_limit, complete_pairwise_distance,
+                       complete_params, complete_trajectory,
+                       epsilon_consensus_time, gamma, leader_distance,
+                       leader_limit, leader_params, leader_trajectory)
 from .linalg import SingularMatrixError, exp_with_integral, solve_linear
-from .network import (CompleteUniform, Diagnostic, GameMatrices, General,
+from .network import (CompleteUniform, Diagnostic, GameMatrices,
                       InfluenceNetwork, SingleLeader, build_matrices,
                       classify_topology, network_from_dict, network_to_dict,
                       validate)

@@ -19,8 +19,8 @@ import numpy as np
 from . import analytic
 from .linalg import SingularMatrixError
 from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
-                      classify_topology, network_from_dict, network_to_dict,
-                      validate)
+                      _assemble_matrices, classify_topology, network_from_dict,
+                      network_to_dict, validate)
 from .solver import EquilibriumTrajectory, solve_equilibrium
 from .verify import (deviation_test, evaluate_cost, nash_residual,
                      stationarity_check)
@@ -185,6 +185,8 @@ def load_scenario(path) -> InfluenceNetwork:
             print(f"warning: {d.message}", file=sys.stderr)
     if errors:
         raise CliInputError("invalid scenario: " + "; ".join(d.message for d in errors))
+    # fill the cached matrices now, so that the solver does not validate again
+    vars(net)["matrices"] = _assemble_matrices(net)
     return net
 
 
@@ -235,14 +237,12 @@ def _gnuplot_script(csv_name, n, title):
 def closed_form_deviation(net: InfluenceNetwork, traj: EquilibriumTrajectory):
     """Sup-norm gap between the sampled solver output and the matching
     closed form, or None for general topologies."""
-    topo = classify_topology(net)
+    family = classify_topology(net)
     try:
-        if isinstance(topo, CompleteUniform):
-            ref = analytic.complete_trajectory(analytic.complete_params(net),
-                                               net.x0, traj.grid)
-        elif isinstance(topo, SingleLeader):
-            ref = analytic.leader_trajectory(analytic.leader_params(net),
-                                             net.x0, traj.grid)
+        if isinstance(family, CompleteUniform):
+            ref = analytic.complete_trajectory(family, net.x0, traj.grid)
+        elif isinstance(family, SingleLeader):
+            ref = analytic.leader_trajectory(family, net.x0, traj.grid)
         else:
             return None
     except ValueError:
@@ -319,10 +319,9 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
 def cmd_limits(net: InfluenceNetwork, eps_list) -> str:
     """Long-run limits, eps-consensus times and distance ratios; closed-form
     topologies only."""
-    topo = classify_topology(net)
+    params = classify_topology(net)
     lines = [f"scenario: {net.name or 'scenario'}"]
-    if isinstance(topo, CompleteUniform):
-        params = analytic.complete_params(net)
+    if isinstance(params, CompleteUniform):
         limit = analytic.complete_limit(params, net.x0)
         lines.append("long-run limits: " + " ".join(f"{v:.6f}" for v in limit))
         lines.append(f"terminal distance ratio gamma(T): {analytic.gamma(params, params.T):.6e}")
@@ -331,8 +330,7 @@ def cmd_limits(net: InfluenceNetwork, eps_list) -> str:
             t = analytic.epsilon_consensus_time(params, net.x0, eps)
             lines.append(f"eps={eps:g}: consensus time "
                          + (f"{t:.6f}" if t is not None else "not reached"))
-    elif isinstance(topo, SingleLeader):
-        params = analytic.leader_params(net)
+    elif isinstance(params, SingleLeader):
         limit = analytic.leader_limit(params, net.x0)
         lines.append("long-run limits: " + " ".join(f"{v:.6f}" for v in limit))
         for i in range(1, params.n):

@@ -1,9 +1,12 @@
-"""Influence network instances and their coupling matrices.
+"""Influence network instances, their coupling matrices and the two
+closed-form families.
 
 An instance is a weighted directed graph on n agents plus per-agent
 stubbornness, initial opinions and a horizon.  Edge (i, j) with weight w_ij
 means agent j influences agent i.  Agents are 0-based internally; scenario
-files use 1-based indices.
+files use 1-based indices.  classify_topology returns an instance's
+closed-form family, CompleteUniform or SingleLeader, with the parameters
+that analytic.py and the exact spectra in solver.py read, or else None.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import functools
 import numbers
 import types
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -60,23 +63,44 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class CompleteUniform:
-    """Every ordered pair is an edge with common weight w; common stubbornness k."""
+    """Complete net on n agents: common weight w and stubbornness k, horizon T."""
 
+    n: int
     w: float
     k: float
+    T: float
+
+    @property
+    def lambda1(self) -> float:
+        """k + n w, the rate that sets every closed form's scale; ValueError if 0."""
+        if self.k + self.n * self.w <= 0.0:
+            raise ValueError("degenerate instance: w = k = 0 has no unique equilibrium scale")
+        return self.k + self.n * self.w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleLeader:
-    """Agent 1 has no in-edges; every other agent listens only to agent 1."""
+    """Agent 1 has no in-edges; every other agent i listens only to agent 1,
+    with weight w1[i] (w1[0] = 0).  k is the stubbornness vector, T the
+    horizon; lam = k + w1 is the diagonal of the triangular W."""
 
+    k: np.ndarray
+    w1: np.ndarray
+    T: float
 
-@dataclass(frozen=True)
-class General:
-    """Anything else."""
+    def __post_init__(self):
+        for name in ("k", "w1"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
+    @property
+    def lam(self) -> np.ndarray:
+        return self.k + self.w1
 
-Topology = Union[CompleteUniform, SingleLeader, General]
+    @property
+    def n(self) -> int:
+        return len(self.k)
 
 
 @dataclass(frozen=True)
@@ -149,6 +173,11 @@ def build_matrices(net: InfluenceNetwork) -> GameMatrices:
     errors = [d for d in validate(net) if d.severity == "error"]
     if errors:
         raise ValueError("invalid network: " + "; ".join(d.message for d in errors))
+    return _assemble_matrices(net)
+
+
+def _assemble_matrices(net: InfluenceNetwork) -> GameMatrices:
+    """build_matrices for a network that validate has already passed."""
     n = int(net.n)
     W = np.zeros((n, n))
     for (i, j), w in net.edges.items():
@@ -158,23 +187,22 @@ def build_matrices(net: InfluenceNetwork) -> GameMatrices:
     return GameMatrices(W=W, k=net.k.copy(), q=q)
 
 
-def classify_topology(net: InfluenceNetwork) -> Topology:
-    """Dispatch tag for the closed-form trajectory families."""
-    n = int(net.n)
-    edges = net.edges
-    if n == 1 and not edges:
-        return CompleteUniform(w=0.0, k=float(net.k[0]))
-    all_pairs = n * (n - 1)
-    if len(edges) == all_pairs:
-        weights = list(edges.values())
-        w0 = weights[0]
-        if all(w == w0 for w in weights) and np.ptp(net.k) == 0.0:
-            return CompleteUniform(w=float(w0), k=float(net.k[0]))
-    if n >= 2:
-        want = {(i, 0) for i in range(1, n)}
-        if set(edges) == want:
-            return SingleLeader()
-    return General()
+def classify_topology(net: InfluenceNetwork) -> CompleteUniform | SingleLeader | None:
+    """The closed-form family of net with its parameters, read in one walk
+    over the edges, or None for any other network."""
+    n, T, edges = int(net.n), float(net.T), net.edges
+    if len(edges) == n * (n - 1):
+        w0 = next(iter(edges.values()), 0.0)
+        if all(w == w0 for w in edges.values()) and np.ptp(net.k) == 0.0:
+            return CompleteUniform(n=n, w=float(w0), k=float(net.k[0]), T=T)
+    if n >= 2 and len(edges) == n - 1:
+        w1 = np.zeros(n)
+        for (i, j), w in edges.items():
+            if j != 0 or i not in range(1, n):
+                return None
+            w1[i] = w
+        return SingleLeader(k=net.k, w1=w1, T=T)
+    return None
 
 
 _SCENARIO_KEYS = {"n", "T", "x0", "k", "edges", "name"}
@@ -231,6 +259,8 @@ def network_from_dict(data: dict) -> InfluenceNetwork:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ValueError("'name' must be a string")
+    if "/" in name or "\\" in name:  # the name becomes a file name under --out
+        raise ValueError(f"'name' must not contain '/' or '\\', got {name!r}")
     return InfluenceNetwork(n=n, edges=edges, k=data["k"], x0=data["x0"],
                             T=float(data["T"]), name=name)
 

@@ -180,10 +180,11 @@ def transition_blocks(A: np.ndarray, t) -> BlockTransition:
     )
 
 
-def _complete_uniform_spectrum(n, w, kc):
+def _complete_uniform_spectrum(family):
     """Exact modes of the complete uniform topology: k + n w (n-1 times), then k."""
-    lam = np.full(n, kc + n * w)
-    lam[-1] = kc
+    n = family.n
+    lam = np.full(n, family.k + n * family.w)
+    lam[-1] = family.k
     V = np.zeros((n, n))
     for i in range(n - 1):
         V[i, i] = 1.0
@@ -196,41 +197,40 @@ def _complete_uniform_spectrum(n, w, kc):
     return SpectralData(lambdas=lam, V=V, Vinv=Vinv)
 
 
-def _leader_spectrum(gm):
+def _leader_spectrum(family):
     """Triangular eigendecomposition of the one-leader topology.
 
-    Needs the leader diagonal q_1 separated from every follower q_i; returns
+    Needs the leader rate lam_1 separated from every follower lam_i; returns
     None when some gap is too small for a trustworthy eigenbasis.
     """
-    q = gm.q
-    n = len(q)
-    gaps = q[1:] - q[0]
-    scale = max(1.0, float(np.max(np.abs(q))))
+    lam, n = family.lam, family.n
+    gaps = lam[1:] - lam[0]
+    scale = max(1.0, float(np.max(np.abs(lam))))
     if np.any(np.abs(gaps) < 1e-8 * scale):
         return None
-    nu = -gm.W[1:, 0] / gaps  # w_i1 / (q_i - q_1)
+    nu = family.w1[1:] / gaps  # w_i1 / (lam_i - lam_1)
     V = np.eye(n)
     V[1:, 0] = nu
     Vinv = np.eye(n)
     Vinv[1:, 0] = -nu
-    return SpectralData(lambdas=q.copy(), V=V, Vinv=Vinv)
+    return SpectralData(lambdas=lam, V=V, Vinv=Vinv)
 
 
 def spectral_data(gm: GameMatrices, topology=None):
     """Real eigendecomposition of W when one is reliably available, else None.
 
-    Known topologies get exact eigenbases; symmetric W goes through eigh;
+    The closed-form families that classify_topology returns get exact
+    eigenbases from their own parameters; symmetric W goes through eigh;
     anything else through eig, accepted only if the spectrum is real to
     _IMAG_TOL and V is well conditioned; every basis must reconstruct W to
     _RESID_RTOL.
     """
     W = gm.W
-    n = W.shape[0]
     sd = None
     if isinstance(topology, CompleteUniform):
-        sd = _complete_uniform_spectrum(n, topology.w, topology.k)
+        sd = _complete_uniform_spectrum(topology)
     elif isinstance(topology, SingleLeader):
-        sd = _leader_spectrum(gm)
+        sd = _leader_spectrum(topology)
     if sd is None:
         wnorm = max(np.linalg.norm(W), 1e-300)
         if np.linalg.norm(W - W.T) <= 1e-12 * wnorm:

@@ -121,10 +121,10 @@ def cumulative_trapezoid_matrix(m: int, h: float) -> np.ndarray:
     return L
 
 
-def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int | None = None):
-    """Composite-Simpson quadrature of agent i's three cost terms, or a list
-    of every agent's when i is None.  One pass over the edges adds each term
-    to its source's row in edge order, as if that agent were costed alone."""
+def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> list[CostBreakdown]:
+    """Composite-Simpson quadrature of every agent's three cost terms, in
+    agent order.  One pass over the edges adds each term to its source's row
+    in edge order, as if that agent were costed alone."""
     s = simpson_weights(len(traj.grid), _grid_step(traj.grid))
     x = np.ascontiguousarray(traj.x.T)
     terms = np.zeros((3,) + x.shape)  # influence, stubbornness, control rows
@@ -132,9 +132,8 @@ def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int | N
         terms[0, a] += w * (x[a] - x[j]) ** 2
     terms[1] = net.k[:, None] * (x - net.x0[:, None]) ** 2
     terms[2] = traj.u.T ** 2
-    costs = [CostBreakdown(a, *(0.5 * float(s @ row) for row in terms[:, a]))
-             for a in range(traj.n)]
-    return costs if i is None else costs[i]
+    return [CostBreakdown(a, *(0.5 * float(s @ row) for row in terms[:, a]))
+            for a in range(traj.n)]
 
 
 def quadratic_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -> float:

@@ -178,8 +178,8 @@ def test_criterion_8_cost_identity():
     worst = 0.0
     for net in nets:
         traj = solve_equilibrium(net, 301)
-        for i in range(net.n):
-            gap = abs(evaluate_cost(net, traj, i).total - quadratic_cost(net, traj, i))
+        for i, c in enumerate(evaluate_cost(net, traj)):
+            gap = abs(c.total - quadratic_cost(net, traj, i))
             worst = max(worst, gap)
     assert worst <= 1e-9, f"cost identity gap {worst:.3e}"
     _report(8, f"termwise vs quadratic-form cost agree, worst gap {worst:.2e} <= 1e-9")

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import X0_LADDER, complete_uniform_net, leader_net
 import opiniongame.analytic as analytic_module
-from opiniongame.analytic import (CompleteUniformParams, LeaderParams,
-                                  complete_limit, complete_pairwise_distance,
+from opiniongame.analytic import (complete_limit, complete_pairwise_distance,
                                   complete_params, complete_trajectory,
                                   epsilon_consensus_time, gamma,
                                   leader_consensus_time, leader_distance,
                                   leader_limit, leader_params,
                                   leader_trajectory)
 from opiniongame.cli import PRESETS, closed_form_deviation
+from opiniongame.network import CompleteUniform, SingleLeader
 from opiniongame.solver import cosh_ratios, solve_equilibrium
 
-FIG1B = CompleteUniformParams(n=10, w=2.0, k=0.2, T=5.0)
+FIG1B = CompleteUniform(n=10, w=2.0, k=0.2, T=5.0)
 
 
 def gamma_reference(n, w, k, T, t):
@@ -35,7 +35,7 @@ def test_gamma_boundary_is_one():
 
 
 def test_gamma_no_coupling_is_constant_one():
-    p = CompleteUniformParams(n=5, w=0.0, k=0.7, T=3.0)
+    p = CompleteUniform(n=5, w=0.0, k=0.7, T=3.0)
     for t in (0.0, 1.0, 3.0):
         assert gamma(p, t) == pytest.approx(1.0, abs=1e-14)
 
@@ -54,7 +54,7 @@ def test_gamma_strictly_decreasing_within_unit_interval():
 
 
 def test_gamma_overflow_safe_for_long_horizons():
-    p = CompleteUniformParams(n=10, w=2.0, k=0.2, T=5000.0)
+    p = CompleteUniform(n=10, w=2.0, k=0.2, T=5000.0)
     val = gamma(p, 2500.0)
     assert np.isfinite(val)
     assert val == pytest.approx(p.k / p.lambda1, rel=1e-12)
@@ -65,19 +65,19 @@ def test_gamma_shrinks_with_scaled_rates():
     t = 1.0
     vals = []
     for scale in (1.0, 2.0, 4.0, 8.0):
-        p = CompleteUniformParams(n=10, w=2.0 * scale, k=0.2 * scale, T=5.0)
+        p = CompleteUniform(n=10, w=2.0 * scale, k=0.2 * scale, T=5.0)
         vals.append(gamma(p, t))
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_degenerate_params_rejected():
     with pytest.raises(ValueError):
-        CompleteUniformParams(n=4, w=0.0, k=0.0, T=1.0)
+        complete_params(complete_uniform_net(4, 0.0, 0.0, [0.1, 0.4, 0.6, 0.9], 1.0))
 
 
 def test_complete_trajectory_boundary_and_consensus():
     x0 = np.array([0.2, 0.4, 0.9])
-    p = CompleteUniformParams(n=3, w=1.0, k=0.5, T=2.0)
+    p = CompleteUniform(n=3, w=1.0, k=0.5, T=2.0)
     np.testing.assert_allclose(complete_trajectory(p, x0, 0.0), x0, atol=1e-14)
     same = np.full(3, 0.6)
     for t in (0.0, 1.0, 2.0):
@@ -86,7 +86,7 @@ def test_complete_trajectory_boundary_and_consensus():
 
 def test_complete_trajectory_preserves_mean():
     x0 = np.array([0.05, 0.3, 0.55, 0.8, 0.97])
-    p = CompleteUniformParams(n=5, w=1.7, k=0.3, T=4.0)
+    p = CompleteUniform(n=5, w=1.7, k=0.3, T=4.0)
     for t in np.linspace(0, 4.0, 9):
         out = complete_trajectory(p, x0, t)
         assert out.mean() == pytest.approx(x0.mean(), abs=1e-12)
@@ -102,10 +102,10 @@ def test_complete_trajectory_matches_solver(fig1b_net):
 def test_complete_limit_values():
     x0 = X0_LADDER
     # no stubbornness: exact average consensus
-    p0 = CompleteUniformParams(n=10, w=2.0, k=0.0, T=5.0)
+    p0 = CompleteUniform(n=10, w=2.0, k=0.0, T=5.0)
     np.testing.assert_allclose(complete_limit(p0, x0), x0.mean(), atol=1e-15)
     # no coupling: nobody moves
-    pw = CompleteUniformParams(n=10, w=0.0, k=0.3, T=5.0)
+    pw = CompleteUniform(n=10, w=0.0, k=0.3, T=5.0)
     np.testing.assert_allclose(complete_limit(pw, x0), x0, atol=1e-15)
     # strong-coupling ladder instance
     lim = complete_limit(FIG1B, x0)
@@ -166,7 +166,7 @@ def test_epsilon_consensus_matches_grid_scan():
 def heterogeneous_leader():
     k = np.array([0.4, 0.0, 0.6, 1.1, 0.25])
     w1 = np.array([0.0, 2.0, 0.9, 1.4, 2.7])
-    return LeaderParams(k=k, w1=w1, T=4.0)
+    return SingleLeader(k=k, w1=w1, T=4.0)
 
 
 def test_leader_trajectory_boundary():
@@ -183,7 +183,7 @@ def test_leader_never_moves():
 
 
 def test_nonstubborn_follower_joins_leader_on_long_horizons():
-    p = LeaderParams(k=np.array([0.5, 0.0]), w1=np.array([0.0, 1.5]), T=60.0)
+    p = SingleLeader(k=np.array([0.5, 0.0]), w1=np.array([0.0, 1.5]), T=60.0)
     x0 = np.array([0.2, 0.9])
     out = leader_trajectory(p, x0, p.T)
     assert abs(out[1] - x0[0]) < 1e-9
@@ -225,13 +225,13 @@ def test_leader_row_weights_equivalent_form():
 def test_leader_limit_cases():
     x0 = np.array([0.2, 0.9, 0.6])
     # k_i = 0: full adoption of the leader's opinion
-    p = LeaderParams(k=np.array([0.5, 0.0, 0.0]), w1=np.array([0.0, 1.0, 2.0]), T=3.0)
+    p = SingleLeader(k=np.array([0.5, 0.0, 0.0]), w1=np.array([0.0, 1.0, 2.0]), T=3.0)
     np.testing.assert_allclose(leader_limit(p, x0), [0.2, 0.2, 0.2], atol=1e-15)
     # w_i1 = 0: fully detached followers keep their opinions
-    p = LeaderParams(k=np.array([0.5, 0.7, 0.9]), w1=np.zeros(3), T=3.0)
+    p = SingleLeader(k=np.array([0.5, 0.7, 0.9]), w1=np.zeros(3), T=3.0)
     np.testing.assert_allclose(leader_limit(p, x0), x0, atol=1e-15)
     # w_i1 = k_i: midpoint
-    p = LeaderParams(k=np.array([0.5, 0.7, 0.9]), w1=np.array([0.0, 0.7, 0.9]), T=3.0)
+    p = SingleLeader(k=np.array([0.5, 0.7, 0.9]), w1=np.array([0.0, 0.7, 0.9]), T=3.0)
     np.testing.assert_allclose(leader_limit(p, x0)[1:], (x0[1:] + 0.2) / 2.0,
                                atol=1e-15)
 
@@ -269,7 +269,7 @@ def test_leader_consensus_time_monotone_bisection(fig2b_net):
 
 def test_indifferent_follower_convention():
     # k_i = w_i1 = 0: the follower has no incentives and stays put
-    p = LeaderParams(k=np.array([0.5, 0.0]), w1=np.array([0.0, 0.0]), T=2.0)
+    p = SingleLeader(k=np.array([0.5, 0.0]), w1=np.array([0.0, 0.0]), T=2.0)
     x0 = np.array([0.3, 0.8])
     for t in (0.0, 1.0, 2.0):
         assert leader_trajectory(p, x0, t)[1] == x0[1]
@@ -304,7 +304,7 @@ def test_array_time_matches_stacked_scalar_calls(name, m):
 
 def test_leader_array_time_with_indifferent_follower():
     # follower 2 has lam = k + w1 = 0 and is pinned to its own opinion
-    p = LeaderParams(k=np.array([0.3, 0.0, 0.5, 0.2]),
+    p = SingleLeader(k=np.array([0.3, 0.0, 0.5, 0.2]),
                      w1=np.array([0.0, 0.0, 1.0, 0.7]), T=3.0)
     x0 = np.array([0.9, 0.1, 0.4, 0.6])
     ts = np.linspace(0.0, p.T, 301)
@@ -314,7 +314,7 @@ def test_leader_array_time_with_indifferent_follower():
 
 
 def test_leader_array_time_on_stiff_star():
-    p = LeaderParams(k=np.array([0.3, 0.1, 0.5, 0.2]),
+    p = SingleLeader(k=np.array([0.3, 0.1, 0.5, 0.2]),
                      w1=np.array([0.0, 400.0, 1000.0, 0.7]), T=3.0)
     assert np.sqrt(p.lam[2]) * p.T > 30.0  # cosh(sqrt(l) T) beyond 1e13
     x0 = np.array([0.9, 0.1, 0.4, 0.6])
@@ -367,7 +367,7 @@ def test_consensus_times_reject_eps_outside_open_interval(eps):
 
 
 complete_cases = st.builds(
-    lambda n, w, k, T, seed: (CompleteUniformParams(n=n, w=w, k=k, T=T),
+    lambda n, w, k, T, seed: (CompleteUniform(n=n, w=w, k=k, T=T),
                               np.random.default_rng(seed).uniform(0.0, 1.0, n)),
     st.integers(2, 12), st.floats(0.01, 5.0), st.floats(0.0, 1.0),
     st.floats(0.1, 50.0), st.integers(0, 2**32 - 1))
@@ -380,7 +380,7 @@ leader_cases = st.builds(
 def _random_leader(rng, n, T):
     w1 = rng.uniform(0.01, 5.0, n)
     w1[0] = 0.0
-    return LeaderParams(k=rng.uniform(0.0, 1.0, n), w1=w1, T=T), rng.uniform(0.0, 1.0, n)
+    return SingleLeader(k=rng.uniform(0.0, 1.0, n), w1=w1, T=T), rng.uniform(0.0, 1.0, n)
 
 
 def _levels(lo, hi, theta, below):
@@ -391,7 +391,7 @@ def _levels(lo, hi, theta, below):
 
 @settings(max_examples=200, deadline=None)
 @given(case=complete_cases, theta=st.floats(0.0, 1.0), below=st.booleans())
-@example(case=(CompleteUniformParams(n=12, w=0.37, k=0.98, T=27.9),
+@example(case=(CompleteUniform(n=12, w=0.37, k=0.98, T=27.9),
                np.random.default_rng(68).uniform(0.0, 1.0, 12)), theta=1.0, below=True)
 def test_epsilon_consensus_time_inverts_gamma_property(case, theta, below):
     # the example sits one float below gamma(0), where the unclamped
@@ -423,7 +423,7 @@ def test_leader_consensus_time_inverts_distance_property(case, theta, below, pic
 def test_epsilon_consensus_time_at_the_stubborn_floor():
     # gamma(T) rounds to k/l1 here, so eps = spread k/l1 counts as reached
     # by T although the ratio term it leaves, c = 0, is never reached
-    p = CompleteUniformParams(n=10, w=2.0, k=1.0, T=100.0)
+    p = CompleteUniform(n=10, w=2.0, k=1.0, T=100.0)
     spread = 0.45
     t = epsilon_consensus_time(p, X0_LADDER, spread * float(gamma(p, p.T)))
     assert t is not None and 0.0 < t <= p.T

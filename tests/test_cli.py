@@ -12,23 +12,25 @@ import numpy as np
 import pytest
 
 import opiniongame
+import opiniongame.analytic as analytic_module
 import opiniongame.cli as cli_module
 import opiniongame.network as network_module
+import opiniongame.solver as solver_module
 from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED,
                              EXIT_VERIFY_FAILED, PRESETS, CliInputError,
                              cmd_figures, cmd_simulate, cmd_verify, get_preset,
                              load_scenario, main, save_scenario,
                              write_trajectory_csv)
 from opiniongame.network import (CompleteUniform, SingleLeader,
-                                 classify_topology)
+                                 classify_topology, network_to_dict)
 from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
 
 
 def test_presets_match_expected_parameterizations():
-    assert classify_topology(PRESETS["fig1b"].network) == CompleteUniform(2.0, 0.2)
-    assert classify_topology(PRESETS["fig1c"].network) == CompleteUniform(0.4, 0.04)
-    assert classify_topology(PRESETS["fig2b"].network) == SingleLeader()
-    assert classify_topology(PRESETS["fig2c"].network) == SingleLeader()
+    assert classify_topology(PRESETS["fig1b"].network) == CompleteUniform(10, 2.0, 0.2, 5.0)
+    assert classify_topology(PRESETS["fig1c"].network) == CompleteUniform(10, 0.4, 0.04, 5.0)
+    assert isinstance(classify_topology(PRESETS["fig2b"].network), SingleLeader)
+    assert isinstance(classify_topology(PRESETS["fig2c"].network), SingleLeader)
     for name in ("fig3b", "fig3c"):
         net = PRESETS[name].network
         assert net.n == 10 and net.T == 5.0
@@ -383,3 +385,99 @@ def test_ci_console_commands_succeed(capsys):
     assert commands
     for argv in commands:
         assert main(argv) == EXIT_OK, " ".join(argv)
+
+
+def test_classify_returns_family_parameters():
+    assert classify_topology(PRESETS["fig1b"].network) == CompleteUniform(
+        n=10, w=2.0, k=0.2, T=5.0)
+    net = PRESETS["fig2b"].network
+    leader = classify_topology(net)
+    assert isinstance(leader, SingleLeader)
+    assert leader.n == 10 and leader.T == 5.0
+    np.testing.assert_array_equal(leader.w1, [net.edges.get((i, 0), 0.0) for i in range(10)])
+    np.testing.assert_array_equal(leader.k, net.k)
+    for name in ("fig3b", "fig3c"):
+        assert classify_topology(PRESETS[name].network) is None
+
+
+DEGENERATE = {"n": 4, "T": 3.0, "x0": [0.1, 0.4, 0.6, 0.9], "k": [0.0] * 4,
+              "edges": [{"from": i + 1, "to": j + 1, "w": 0.0}
+                        for i in range(4) for j in range(4) if i != j],
+              "name": "degenerate"}
+
+
+def test_degenerate_complete_scenario(tmp_path, capsys):
+    # w = k = 0 still classifies as complete uniform, so its spectral route
+    # and CSV stay put; only the closed forms refuse it
+    scenario = tmp_path / "degenerate.json"
+    scenario.write_text(json.dumps(DEGENERATE))
+    assert isinstance(classify_topology(load_scenario(scenario)), CompleteUniform)
+    assert main(["limits", "--scenario", str(scenario)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: degenerate instance: w = k = 0 has no unique "
+                            "equilibrium scale\n")
+    assert main(["simulate", "--scenario", str(scenario), "--samples", "11",
+                 "--costate", "--out", str(tmp_path)]) == EXIT_OK
+    assert "closed-form deviation" not in capsys.readouterr().out
+    assert ((tmp_path / "degenerate.csv").read_bytes()
+            == (GOLDEN / "simulate-degenerate.csv").read_bytes())
+
+
+def count_classifications(monkeypatch):
+    calls = []
+    original = network_module.classify_topology
+    spy = lambda net: calls.append(net) or original(net)  # noqa: E731
+    for module in (network_module, cli_module, solver_module, analytic_module):
+        monkeypatch.setattr(module, "classify_topology", spy)
+    return calls
+
+
+def test_simulate_and_limits_classify_the_leader_preset_sparingly(tmp_path, monkeypatch):
+    calls = count_classifications(monkeypatch)
+    assert main(["simulate", "--preset", "fig2b", "--samples", "51",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) <= 2
+    calls.clear()
+    assert main(["limits", "--preset", "fig2b"]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--samples", "51"],
+                                  ["verify", "--count", "5", "--samples", "301"]])
+def test_scenario_is_validated_once(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # simulate writes its CSV under --out = "."
+    save_scenario(PRESETS["fig2b"].network, "fig2b.json")
+    calls = []
+    original = network_module.validate
+    spy = lambda net: calls.append(net) or original(net)  # noqa: E731
+    monkeypatch.setattr(network_module, "validate", spy)
+    monkeypatch.setattr(cli_module, "validate", spy)
+    assert main(argv + ["--scenario", "fig2b.json"]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_invalid_scenario_keeps_its_warnings_and_message(tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({
+        "n": 2, "T": 1.0, "x0": [1.5, 0.2], "k": [0.1, -0.1],
+        "edges": [{"from": 1, "to": 2, "w": 1.0}]}))
+    assert main(["verify", "--scenario", str(scenario)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "warning: initial opinions outside [0, 1] (range [0.2, 1.5]); accepted as-is\n"
+        "error: invalid scenario: negative stubbornness k[2] = -0.1\n")
+
+
+@pytest.mark.parametrize("kind", ["relative", "absolute", "backslash"])
+def test_scenario_name_cannot_leave_out_dir(tmp_path, capsys, kind):
+    name = {"relative": "../escaped", "absolute": str(tmp_path / "escaped"),
+            "backslash": "sub\\escaped"}[kind]
+    data = network_to_dict(PRESETS["fig2b"].network)
+    data["name"] = name
+    scenario = tmp_path / "named.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--samples", "11",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "'name' must not contain" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["named.json"]
