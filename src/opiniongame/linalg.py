@@ -1,6 +1,9 @@
 """Dense linear algebra kernels: matrix exponentials, their running integrals, solves.
 
 No game semantics live here; everything operates on plain square matrices.
+scipy is imported inside the functions that call it, so importing this
+module, and every module that needs only SingularMatrixError, loads numpy
+alone.
 """
 
 from __future__ import annotations
@@ -8,7 +11,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrixError(ValueError):
@@ -34,6 +36,8 @@ def exp_with_integral(M, t):
     The pair appears as the top block row of exp([[M, I], [0, 0]] t), which
     sidesteps inverting M and works for singular or defective inputs.
     """
+    from scipy.linalg import expm
+
     A = _as_square(M)
     if not 0.0 <= t < np.inf:
         raise ValueError("t must be finite and nonnegative")
@@ -43,14 +47,16 @@ def exp_with_integral(M, t):
     aug = np.zeros((2 * m, 2 * m))
     aug[:m, :m] = A
     aug[:m, m:] = np.eye(m)
-    big = scipy.linalg.expm(aug * t)
+    big = expm(aug * t)
     return np.ascontiguousarray(big[:m, :m]), np.ascontiguousarray(big[:m, m:])
 
 
 def _reciprocal_condition(lu, anorm):
+    from scipy.linalg.lapack import dgecon
+
     if anorm == 0.0:
         return 0.0
-    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    rcond, info = dgecon(lu, anorm, norm="1")
     if info < 0:
         raise RuntimeError("condition estimation failed")
     return float(rcond)
@@ -62,12 +68,14 @@ def solve_linear(M, B, rcond_min=1e-12):
     Raises SingularMatrixError when the 1-norm reciprocal condition estimate
     falls below rcond_min.
     """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     A = _as_square(M)
     rhs = np.asarray(B, dtype=float)
     with warnings.catch_warnings():
         # exact singularity is reported through SingularMatrixError below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A)
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(A)
     rcond = _reciprocal_condition(lu, np.linalg.norm(A, 1))
     if rcond < rcond_min:
         raise SingularMatrixError(
@@ -76,4 +84,4 @@ def solve_linear(M, B, rcond_min=1e-12):
             f"(condition number ~ {1.0 / max(rcond, 1e-300):.3e})",
             rcond=rcond,
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs)
+    return lu_solve((lu, piv), rhs)

@@ -12,6 +12,7 @@ that analytic.py and the exact spectra in solver.py read, or else None.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 import types
 from dataclasses import dataclass
@@ -50,6 +51,20 @@ class InfluenceNetwork:
     def matrices(self) -> GameMatrices:
         """build_matrices(self) once per instance; if invalid, raises on every access."""
         return build_matrices(self)
+
+    @functools.cached_property
+    def edge_arrays(self):
+        """The edges in dict order as read-only arrays (i, j, w): agent j[e]
+        influences agent i[e] with weight w[e].  None unless every key is a
+        pair of integers and every weight a real number."""
+        keys = np.array(list(self.edges) or np.empty((0, 2), dtype=np.intp))
+        w = np.array(list(self.edges.values()))
+        if keys.dtype.kind not in "biu" or keys.shape[1:] != (2,) or w.dtype.kind not in "biuf":
+            return None
+        arrays = (keys[:, 0].astype(np.intp), keys[:, 1].astype(np.intp), w.astype(float))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -147,7 +162,13 @@ def validate(net: InfluenceNetwork) -> list[Diagnostic]:
         out.append(Diagnostic("error", "x0 entries must be finite"))
     if not (np.isfinite(net.T) and net.T > 0):
         out.append(Diagnostic("error", f"horizon T must be positive and finite, got {net.T}"))
-    for (i, j), w in net.edges.items():
+    edges = net.edges.items()
+    if net.edge_arrays is not None:  # only the edges that fail a check need a message
+        rows, cols, weights = net.edge_arrays
+        bad = ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n) | (rows == cols)
+               | ~np.isfinite(weights) | (weights < 0))
+        edges = itertools.compress(edges, bad.tolist())
+    for (i, j), w in edges:
         tag = f"edge ({i + 1}, {j + 1})"
         if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
             out.append(Diagnostic("error", f"{tag}: indices must be integers"))
@@ -179,9 +200,9 @@ def build_matrices(net: InfluenceNetwork) -> GameMatrices:
 def _assemble_matrices(net: InfluenceNetwork) -> GameMatrices:
     """build_matrices for a network that validate has already passed."""
     n = int(net.n)
+    i, j, w = net.edge_arrays
     W = np.zeros((n, n))
-    for (i, j), w in net.edges.items():
-        W[i, j] -= w
+    W[i, j] -= w  # the keys are unique, so each entry takes one weight
     q = -W.sum(axis=1) + net.k
     W[np.arange(n), np.arange(n)] = q
     return GameMatrices(W=W, k=net.k.copy(), q=q)
@@ -237,20 +258,24 @@ def network_from_dict(data: dict) -> InfluenceNetwork:
     edges = {}
     if not isinstance(data["edges"], list):
         raise ValueError("'edges' must be a list of edge objects")
+    # each check first tries the common case of a well-formed JSON entry
     for entry in data["edges"]:
         if not isinstance(entry, dict):
             raise ValueError(f"edge entries must be objects, got {entry!r}")
-        unknown = set(entry) - _EDGE_KEYS
-        if unknown:
-            raise ValueError(f"unknown edge keys: {sorted(unknown)}")
-        for key in _EDGE_KEYS:
-            if key not in entry:
-                raise ValueError(f"edge is missing key {key!r}: {entry!r}")
+        if entry.keys() != _EDGE_KEYS:
+            unknown = set(entry) - _EDGE_KEYS
+            if unknown:
+                raise ValueError(f"unknown edge keys: {sorted(unknown)}")
+            for key in _EDGE_KEYS:
+                if key not in entry:
+                    raise ValueError(f"edge is missing key {key!r}: {entry!r}")
         i, j, w = entry["from"], entry["to"], entry["w"]
-        for label, idx in (("from", i), ("to", j)):
-            if not isinstance(idx, int) or isinstance(idx, bool) or not (1 <= idx <= n):
-                raise ValueError(f"edge index '{label}' must be an integer in 1..{n}, got {idx!r}")
-        if not isinstance(w, numbers.Real) or isinstance(w, bool):
+        if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
+            for label, idx in (("from", i), ("to", j)):
+                if not isinstance(idx, int) or isinstance(idx, bool) or not (1 <= idx <= n):
+                    raise ValueError(f"edge index '{label}' must be an integer in 1..{n}, "
+                                     f"got {idx!r}")
+        if type(w) is not float and (not isinstance(w, numbers.Real) or isinstance(w, bool)):
             raise ValueError(f"edge weight must be a number, got {w!r}")
         key = (i - 1, j - 1)
         if key in edges:

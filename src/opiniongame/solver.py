@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv as _gesv
 
 from .linalg import SingularMatrixError, exp_with_integral
 from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
@@ -231,28 +230,42 @@ def spectral_data(gm: GameMatrices, topology=None):
         sd = _complete_uniform_spectrum(topology)
     elif isinstance(topology, SingleLeader):
         sd = _leader_spectrum(topology)
+    # the gates measure W in units of s = max |W_ij|, so that no norm
+    # overflows or underflows at any scale of the weights
+    s = float(np.max(np.abs(W))) or 1.0
+    Ws = W / s
+    wnorm = np.linalg.norm(Ws)
     if sd is None:
-        wnorm = max(np.linalg.norm(W), 1e-300)
-        if np.linalg.norm(W - W.T) <= 1e-12 * wnorm:
+        if np.linalg.norm(Ws - Ws.T) <= 1e-12 * wnorm:
             lam, V = np.linalg.eigh(0.5 * (W + W.T))
             sd = SpectralData(lambdas=lam, V=V, Vinv=V.T.copy())
         else:
             lam, V = np.linalg.eig(W)
-            if np.max(np.abs(lam.imag)) > _IMAG_TOL * max(1.0, wnorm):
+            if np.max(np.abs(lam.imag)) / s > _IMAG_TOL * max(1.0 / s, wnorm):
                 return None
             lam = lam.real
             V = V.real
             if not np.all(np.isfinite(V)) or np.linalg.cond(V) > _COND_MAX:
                 return None
             sd = SpectralData(lambdas=lam, V=V, Vinv=np.linalg.inv(V))
-    resid = np.linalg.norm(W @ sd.V - sd.V * sd.lambdas)
-    if resid > _RESID_RTOL * max(np.linalg.norm(W), 1.0):
+    resid = np.linalg.norm(Ws @ sd.V - sd.V * (sd.lambdas / s))
+    if not resid <= _RESID_RTOL * max(wnorm, 1.0 / s):
         return None
     return sd
 
 
 # ---------------------------------------------------------------------------
 # trajectory propagation
+
+
+def _gesv(a, b):
+    """LAPACK dgesv for the general route's Riccati sweep.  scipy loads on
+    the first call, which rebinds this name to dgesv itself, so the spectral
+    route and the closed forms never import scipy and later sweeps pay no
+    import per segment."""
+    global _gesv
+    from scipy.linalg.lapack import dgesv as _gesv
+    return _gesv(a, b)
 
 
 def _propagate_general(gm, x0, grid):

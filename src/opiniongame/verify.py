@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .network import InfluenceNetwork
 from .solver import BOUNDARY_TOL, EquilibriumTrajectory
@@ -209,6 +208,8 @@ class _Transcription:
         u_0, (x_j, lambda_j, u_j) for j = 1 .. m-1 makes the symmetric KKT
         matrix banded with bandwidth 4, so one LU solve costs O(m).
         """
+        from scipy.linalg import solve_banded
+
         m, h, s = len(self.s), self.h, self.s
         iu = 3 * np.arange(m)
         ix, il = iu[1:] - 2, iu[1:] - 1
@@ -228,7 +229,7 @@ class _Transcription:
         rhs = np.zeros(3 * m - 2)
         rhs[ix] = s[1:] * self.b[1:]
         rhs[il[0]] = self.x0i
-        return scipy.linalg.solve_banded((4, 4), ab, rhs)[iu]
+        return solve_banded((4, 4), ab, rhs)[iu]
 
 
 def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory,

@@ -147,18 +147,47 @@ def test_limits_complete_uniform_output(capsys):
     assert "eps=0.5: consensus time 0.000000" in out
 
 
-def test_module_entry_point_runs_command():
-    # `python -m opiniongame.cli` must dispatch, not import and exit silently
+def run_fresh(args):
+    """Run python with args in a fresh interpreter that imports this package."""
     src = str(Path(opiniongame.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "opiniongame.cli", "limits", "--preset", "fig1c"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_command():
+    # `python -m opiniongame.cli` must dispatch, not import and exit silently
+    proc = run_fresh(["-m", "opiniongame.cli", "limits", "--preset", "fig1c"])
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "scenario: fig1c" in proc.stdout
     assert "long-run limits:" in proc.stdout
+
+
+def test_cold_path_loads_scipy_only_where_a_solve_needs_it(tmp_path):
+    # the closed forms, the spectral route and the CSV need numpy alone;
+    # verify's banded best-response solve is the first to import scipy
+    out = str(tmp_path)
+    script = f"""
+import sys
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+import opiniongame
+assert not scipy_loaded(), "import opiniongame"
+from opiniongame.cli import main
+assert not scipy_loaded(), "import opiniongame.cli"
+assert main(["limits", "--preset", "fig1b"]) == 0
+assert not scipy_loaded(), "limits"
+assert main(["simulate", "--preset", "fig2b", "--out", {out!r}]) == 0
+assert not scipy_loaded(), "simulate"
+assert main(["figures", "--which", "all", "--out", {out!r}]) == 0
+assert not scipy_loaded(), "figures"
+assert main(["verify", "--preset", "fig1b", "--count", "5"]) == 0
+assert scipy_loaded(), "verify"
+"""
+    proc = run_fresh(["-c", script])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_limits_unreachable_eps(capsys):

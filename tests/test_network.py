@@ -1,6 +1,7 @@
 """Tests for network instances, matrix assembly, classification and the
 scenario schema."""
 
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,51 @@ def test_validate_flags_negative_weight_and_bad_index():
     sev = {d.severity for d in validate(net)}
     assert sev == {"error"}
     assert len(validate(net)) == 2
+
+
+def per_edge_diagnostics(net):
+    """validate's edge messages, one edge at a time in dict order."""
+    n, out = net.n, []
+    for (i, j), w in net.edges.items():
+        tag = f"edge ({i + 1}, {j + 1})"
+        if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
+            out.append(f"error: {tag}: indices must be integers")
+        elif not (0 <= i < n and 0 <= j < n):
+            out.append(f"error: {tag}: agent index out of range 1..{n}")
+        else:
+            if i == j:
+                out.append(f"error: self-edge on agent {i + 1}")
+            if not np.isfinite(w) or w < 0:
+                out.append(f"error: {tag}: weight must be finite and >= 0, got {w}")
+    return out
+
+
+@pytest.mark.parametrize("extra, vectorized", [
+    ({}, True), ({(np.int64(2), -1): 3.0}, True), ({(1.5, 0): 3.0}, False)])
+def test_validate_reports_failing_edges_in_edge_order(extra, vectorized):
+    # with integer keys the checks run on the cached edge arrays and only the
+    # failing edges are walked for their messages; either way the messages
+    # must match an edge-by-edge pass
+    edges = {(0, 1): 1.0, (3, 3): -2, (1, 0): float("nan"), (0, 7): 1.0,
+             (2, 1): 0.5, (1, 2): float("inf"), (2, 2): True, (-1, 0): 1.0, **extra}
+    net = InfluenceNetwork(n=4, edges=edges, k=[0.1] * 4, x0=[0.5] * 4, T=1.0)
+    assert (net.edge_arrays is not None) == vectorized
+    assert [str(d) for d in validate(net)] == per_edge_diagnostics(net)
+
+
+def test_edge_arrays_follow_the_edge_dict():
+    net = random_net(np.random.default_rng(4), n=7)
+    i, j, w = net.edge_arrays
+    assert list(zip(i.tolist(), j.tolist())) == list(net.edges)
+    assert w.tolist() == list(net.edges.values())
+    assert net.edge_arrays is net.edge_arrays
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    W = np.zeros((7, 7))
+    for (a, b), weight in net.edges.items():
+        W[a, b] -= weight
+    np.fill_diagonal(W, -W.sum(axis=1) + net.k)
+    assert build_matrices(net).W.tobytes() == W.tobytes()
 
 
 def test_validate_warns_on_out_of_range_opinion():
@@ -207,3 +253,29 @@ def test_scenario_rejects_malformed():
     with pytest.raises(ValueError, match="1..2"):
         network_from_dict({"n": 2, "T": 1.0, "x0": [0.1, 0.2], "k": [0, 0],
                            "edges": [{"from": 1, "to": 3, "w": 1.0}]})
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"from": 0, "to": 1, "w": 1.0}, "edge index 'from' must be an integer in 1..2, got 0"),
+    ({"from": 1, "to": 3, "w": 1.0}, "edge index 'to' must be an integer in 1..2, got 3"),
+    ({"from": True, "to": 2, "w": 1.0}, "edge index 'from' must be an integer in 1..2, got True"),
+    ({"from": 1, "to": 2.0, "w": 1.0}, "edge index 'to' must be an integer in 1..2, got 2.0"),
+    ({"from": 1, "to": 2, "w": True}, "edge weight must be a number, got True"),
+    ({"from": 1, "to": 2, "w": "1"}, "edge weight must be a number, got '1'"),
+    ({"from": 1, "to": 2}, "edge is missing key 'w'"),
+    ([1, 2], "edge entries must be objects, got [1, 2]"),
+])
+def test_scenario_names_the_first_bad_edge_entry(entry, message):
+    # each check tries the well-formed case first; a bad entry must still
+    # get its own message
+    data = {"n": 2, "T": 1.0, "x0": [0.1, 0.2], "k": [0, 0],
+            "edges": [{"from": 2, "to": 1, "w": 0.5}, entry]}
+    with pytest.raises(ValueError) as info:
+        network_from_dict(data)
+    assert str(info.value).startswith(message)
+
+
+def test_scenario_accepts_integer_weights():
+    net = network_from_dict({"n": 2, "T": 1.0, "x0": [0.1, 0.2], "k": [0, 0],
+                             "edges": [{"from": 2, "to": 1, "w": 2}]})
+    assert net.edges == {(1, 0): 2.0} and type(net.edges[(1, 0)]) is float

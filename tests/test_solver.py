@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_uniform_net, leader_net, random_net
 import opiniongame.solver as solver_module
+from opiniongame.cli import PRESETS
 from opiniongame.linalg import SingularMatrixError
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
@@ -266,6 +267,34 @@ def test_spectral_data_none_for_complex_spectrum():
     gm = build_matrices(net)
     assert np.max(np.abs(np.linalg.eigvals(gm.W).imag)) > 0.1
     assert spectral_data(gm, classify_topology(net)) is None
+    # the gates measure W in units of its largest entry, so no norm
+    # overflows and lets a complex spectrum through
+    for alpha in (1e160, 2.0 ** 1000):
+        assert spectral_data(build_matrices(rescaled(net, alpha, net.T))) is None
+
+
+def rescaled(net, alpha, T):
+    """net with every weight and every k multiplied by alpha, over horizon T."""
+    return InfluenceNetwork(n=net.n, edges={e: alpha * w for e, w in net.edges.items()},
+                            k=alpha * net.k, x0=net.x0, T=T, name=net.name)
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+@pytest.mark.parametrize("alpha", [1e100, 1e160, 2.0 ** 500])
+def test_rescaled_game_keeps_its_trajectory(name, alpha):
+    # weights and k times alpha over T / sqrt(alpha) is the same game in
+    # rescaled time, so every grid row keeps its opinions
+    net = PRESETS[name].network
+    x = solve_equilibrium(rescaled(net, alpha, net.T / math.sqrt(alpha)), 201).x
+    assert np.max(np.abs(x - solve_equilibrium(net, 201).x)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_huge_weights_keep_opinions_between_the_initial_ones(name):
+    net = PRESETS[name].network
+    x = solve_equilibrium(rescaled(net, 1e160, net.T), 201).x
+    assert np.all(np.isfinite(x))
+    assert net.x0.min() - 1e-12 <= x.min() and x.max() <= net.x0.max() + 1e-12
 
 
 # ---------------------------------------------------------------------------
