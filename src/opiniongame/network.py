@@ -55,13 +55,22 @@ class InfluenceNetwork:
     @functools.cached_property
     def edge_arrays(self):
         """The edges in dict order as read-only arrays (i, j, w): agent j[e]
-        influences agent i[e] with weight w[e].  None unless every key is a
-        pair of integers and every weight a real number."""
-        keys = np.array(list(self.edges) or np.empty((0, 2), dtype=np.intp))
-        w = np.array(list(self.edges.values()))
-        if keys.dtype.kind not in "biu" or keys.shape[1:] != (2,) or w.dtype.kind not in "biuf":
+        influences agent i[e] with weight w[e].  None where validate's
+        edge-by-edge walk would reject a type: an index that is not a
+        numbers.Integral (or does not fit np.intp), a key that is not a pair,
+        or weights that numpy does not hold as booleans, integers or floats.
+        So a network that validate passes always has these arrays."""
+        if not all(issubclass(t, numbers.Integral)
+                   for t in set(map(type, itertools.chain.from_iterable(self.edges)))):
             return None
-        arrays = (keys[:, 0].astype(np.intp), keys[:, 1].astype(np.intp), w.astype(float))
+        try:
+            keys = np.array(list(self.edges), dtype=np.intp).reshape(len(self.edges), 2)
+        except (OverflowError, ValueError):
+            return None
+        w = np.array(list(self.edges.values()))
+        if w.dtype.kind not in "biuf":
+            return None
+        arrays = (keys[:, 0].copy(), keys[:, 1].copy(), w.astype(float))
         for arr in arrays:
             arr.setflags(write=False)
         return arrays
@@ -258,24 +267,20 @@ def network_from_dict(data: dict) -> InfluenceNetwork:
     edges = {}
     if not isinstance(data["edges"], list):
         raise ValueError("'edges' must be a list of edge objects")
-    # each check first tries the common case of a well-formed JSON entry
     for entry in data["edges"]:
         if not isinstance(entry, dict):
             raise ValueError(f"edge entries must be objects, got {entry!r}")
-        if entry.keys() != _EDGE_KEYS:
-            unknown = set(entry) - _EDGE_KEYS
-            if unknown:
-                raise ValueError(f"unknown edge keys: {sorted(unknown)}")
-            for key in _EDGE_KEYS:
-                if key not in entry:
-                    raise ValueError(f"edge is missing key {key!r}: {entry!r}")
+        unknown = set(entry) - _EDGE_KEYS
+        if unknown:
+            raise ValueError(f"unknown edge keys: {sorted(unknown)}")
+        for key in _EDGE_KEYS:
+            if key not in entry:
+                raise ValueError(f"edge is missing key {key!r}: {entry!r}")
         i, j, w = entry["from"], entry["to"], entry["w"]
-        if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
-            for label, idx in (("from", i), ("to", j)):
-                if not isinstance(idx, int) or isinstance(idx, bool) or not (1 <= idx <= n):
-                    raise ValueError(f"edge index '{label}' must be an integer in 1..{n}, "
-                                     f"got {idx!r}")
-        if type(w) is not float and (not isinstance(w, numbers.Real) or isinstance(w, bool)):
+        for label, idx in (("from", i), ("to", j)):
+            if not isinstance(idx, int) or isinstance(idx, bool) or not (1 <= idx <= n):
+                raise ValueError(f"edge index '{label}' must be an integer in 1..{n}, got {idx!r}")
+        if not isinstance(w, numbers.Real) or isinstance(w, bool):
             raise ValueError(f"edge weight must be a number, got {w!r}")
         key = (i - 1, j - 1)
         if key in edges:

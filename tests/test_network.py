@@ -105,11 +105,13 @@ def per_edge_diagnostics(net):
 
 
 @pytest.mark.parametrize("extra, vectorized", [
-    ({}, True), ({(np.int64(2), -1): 3.0}, True), ({(1.5, 0): 3.0}, False)])
+    ({}, True), ({(np.int64(2), -1): 3.0}, True), ({(np.uint64(2), np.int64(0)): 3.0}, True),
+    ({(1.5, 0): 3.0}, False), ({(np.bool_(True), 3): 3.0}, False)])
 def test_validate_reports_failing_edges_in_edge_order(extra, vectorized):
     # with integer keys the checks run on the cached edge arrays and only the
-    # failing edges are walked for their messages; either way the messages
-    # must match an edge-by-edge pass
+    # failing edges are walked for their messages; a key that is not a
+    # numbers.Integral (np.bool_ is not) sends every edge through the walk;
+    # either way the messages must match an edge-by-edge pass
     edges = {(0, 1): 1.0, (3, 3): -2, (1, 0): float("nan"), (0, 7): 1.0,
              (2, 1): 0.5, (1, 2): float("inf"), (2, 2): True, (-1, 0): 1.0, **extra}
     net = InfluenceNetwork(n=4, edges=edges, k=[0.1] * 4, x0=[0.5] * 4, T=1.0)
@@ -130,6 +132,17 @@ def test_edge_arrays_follow_the_edge_dict():
         W[a, b] -= weight
     np.fill_diagonal(W, -W.sum(axis=1) + net.k)
     assert build_matrices(net).W.tobytes() == W.tobytes()
+
+
+def test_mixed_integer_key_types_assemble_like_python_ints():
+    # np.uint64 and np.int64 together promote to float64 in a plain
+    # np.array; the edge arrays must still hold the integer indices
+    mixed = InfluenceNetwork(n=3, edges={(np.uint64(2), np.int64(0)): 1.5, (0, np.uint64(1)): 2.0},
+                             k=[0.1] * 3, x0=[0.5] * 3, T=1.0)
+    plain = InfluenceNetwork(n=3, edges={(2, 0): 1.5, (0, 1): 2.0},
+                             k=[0.1] * 3, x0=[0.5] * 3, T=1.0)
+    assert validate(mixed) == []
+    assert build_matrices(mixed).W.tobytes() == build_matrices(plain).W.tobytes()
 
 
 def test_validate_warns_on_out_of_range_opinion():
@@ -266,8 +279,7 @@ def test_scenario_rejects_malformed():
     ([1, 2], "edge entries must be objects, got [1, 2]"),
 ])
 def test_scenario_names_the_first_bad_edge_entry(entry, message):
-    # each check tries the well-formed case first; a bad entry must still
-    # get its own message
+    # a bad entry after a good one gets its own message
     data = {"n": 2, "T": 1.0, "x0": [0.1, 0.2], "k": [0, 0],
             "edges": [{"from": 2, "to": 1, "w": 0.5}, entry]}
     with pytest.raises(ValueError) as info:
