@@ -8,12 +8,11 @@ problem
 with x(0) = x0 fixed and p(T) = 0 free-endpoint.  Two evaluation routes are
 provided:
 
-* a general route, exact for arbitrary W and stable at any horizon: it
-  sweeps the costate gain p = P x + r back from p(T) = 0 over segments that
-  grow by at most about e, marches x forward from x0 with p reset at each
-  segment start, and fills in the grid points inside all segments at once;
-  the state that the fine steps carry to each segment's end must match the
-  next segment's start to the boundary tolerance;
+* a general route, exact for arbitrary W and stable at any horizon: with R
+  the principal square root of W, the trajectory combines the decaying
+  exponentials e^{-R t} and e^{-R (T - t)}, so one sqrtm, two expm and two
+  solves serve every horizon, and the grid rows march e^{-R h} forward from
+  the two boundary vectors;
 * a spectral route used whenever W has a trustworthy real eigendecomposition,
   which collapses the block formula to per-mode cosh/sinh ratios.  One
   function, cosh_ratios, evaluates them from decaying exponentials and
@@ -28,16 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, exp_with_integral
+from .linalg import exp_with_integral
 from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
                       SingleLeader, classify_topology)
 
 # smallest normal float; phi(z) = -expm1(-z)/z is exactly 1 there.
 _TINY = np.finfo(float).tiny
-# horizon * sqrt(|W|) above this makes the general route refuse, not crawl.
-_MAX_STEPS = 1_000_000
-# max |p(T)| and the general route's segment seam defect; the verifier's
-# transversality check uses the same bound.
+# max |p(T)|; the verifier's transversality check uses the same bound.
 BOUNDARY_TOL = 1e-8
 # spectral_data accepts eig only with |Im lambda| <= _IMAG_TOL max(1, |W|),
 # cond(V) <= _COND_MAX and |W V - V Lambda| <= _RESID_RTOL max(1, |W|).
@@ -258,89 +254,76 @@ def spectral_data(gm: GameMatrices, topology=None):
 # trajectory propagation
 
 
-def _gesv(a, b):
-    """LAPACK dgesv for the general route's Riccati sweep.  scipy loads on
-    the first call, which rebinds this name to dgesv itself, so the spectral
-    route and the closed forms never import scipy and later sweeps pay no
-    import per segment."""
-    global _gesv
-    from scipy.linalg.lapack import dgesv as _gesv
-    return _gesv(a, b)
+def _closed_classes(W, free):
+    """The closed classes of the influence graph whose members are all free,
+    as index arrays.  A closed class is a strongly connected set that no
+    edge leaves.  Boolean reachability, squared to its fixed point, needs no
+    tolerance."""
+    reach = (W != 0) | np.eye(len(W), dtype=bool)
+    while True:
+        wider = (reach @ reach.astype(float)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    # an agent that every agent it reaches reaches back lies in a closed
+    # class, and reaches exactly that class
+    pending = ~np.any(reach & ~reach.T, axis=1) & ~np.any(reach & ~free, axis=1)
+    while pending.any():
+        members = reach[np.argmax(pending)]
+        pending &= ~members
+        yield np.flatnonzero(members)
 
 
 def _propagate_general(gm, x0, grid):
-    """Invariant imbedding (Ascher, Mattheij & Russell 1995, ch. 4) over stable
-    segments.  With exact steps [x+; 1; p+] = M [x; 1; p], M = [[phi11, a,
-    phi12], [0, 1, 0], [phi21, b, phi22]] (a = psi12 K x0, b = psi22 K x0),
-    sweep the gain p = P x + r back from 0 at T over segment boundaries,
-    (phi22 - P+ phi12) [P | r] = [P+ phi11 - phi21 | P+ a + r+ - b], and march
-    [x; 1; p] forward, resetting p = P x + r at each boundary.  Fine steps keep
-    sqrt(|W|) h <= 1 and so does every segment of c fine steps; gains are kept
-    about every sqrt(S) boundaries and recomputed block by block.  The fine
-    steps inside all S segments march as c batched products; one more product
-    lands on the next boundary, and a seam defect above BOUNDARY_TOL fails."""
+    """Square-root route for x'' = W x - F, F = K x0, x(0) = x0, x'(T) = 0.
+    With R the principal square root of W, c = W^-1 F and E(s) = e^{-R s},
+
+        (I + E(T)^2) z = x0 - c,   w = E(T) z,
+        x(t) = c + E(t) z + E(T - t) w,   p(t) = R (E(t) z - E(T - t) w).
+
+    No exponent is positive, so cost and accuracy do not depend on T.
+
+    W is singular exactly when a closed class C of the influence graph has
+    k = 0 on every member.  l^T x_C then stays at l^T x0_C, where
+    l^T W_CC = 0 and l^T 1 = 1, so adding beta 1 l^T to W_CC and
+    beta l^T x0_C to F_C leaves the trajectory as it is and moves the zero
+    eigenvalue to beta (Brauer's theorem): sqrtm never sees a singular W.
+    A k too small to change its row of W in floating point counts as 0.
+    """
+    from scipy.linalg import expm, sqrtm
+
     m, n = len(grid), len(x0)
-    needed = grid[-1] * math.sqrt(np.linalg.norm(gm.W, np.inf))  # steps for sqrt(|W|) h <= 1
-    if not needed <= _MAX_STEPS:
-        raise ArithmeticError(f"the general route would need {needed:.3g} steps (limit {_MAX_STEPS})")
-    sub = max(1, math.ceil(needed / (m - 1)))
-    steps = sub * (m - 1)
-    c = max(1, math.floor(steps / max(needed, 1.0)))  # fine steps per segment
-    S = -(-steps // c)
-    h = grid[-1] / steps
-    A, kx0 = assemble_system(gm), gm.k * x0
-
-    def stepper(t):  # M over a time t, with its phi22 and [phi21 | b] for the sweep
-        bt = transition_blocks(A, t)
-        M = np.block([[bt.phi11, (bt.psi12 @ kx0)[:, None], bt.phi12],
-                      [np.zeros((1, n)), np.ones((1, 1)), np.zeros((1, n))],
-                      [bt.phi21, (bt.psi22 @ kx0)[:, None], bt.phi22]])
-        return M, bt.phi22, M[n + 1:, :n + 1].copy()
-
-    seg = stepper(c * h)
-    last = seg if S * c == steps else stepper((steps - (S - 1) * c) * h)
-    stride = math.isqrt(S) + 1
-    starts = range(0, S, stride)
-    ends = {S: np.zeros((n, n + 1))}
-
-    def block(start):  # the gains from boundary min(start + stride, S) down to start
-        gains = [ends[min(start + stride, S)]]
-        for k in range(min(start + stride, S) - 1, start - 1, -1):
-            M, phi22, shift = last if k == S - 1 else seg
-            prod = gains[-1] @ M[:n + 1]
-            *_, gain, info = _gesv(phi22 - prod[:, n + 1:], prod[:, :n + 1] - shift)
-            if info != 0:
-                raise SingularMatrixError(f"Riccati sweep hit an exactly singular pivot ({info})")
-            gains.append(gain)
-        return gains
-
-    for start in reversed(starts):
-        ends[start] = block(start)[-1]
-    if not np.all(np.isfinite(ends[0])):
-        raise SingularMatrixError("Riccati sweep produced non-finite gains")
-    x, p = np.empty((m, n)), np.empty((m, n))
-    z = np.append(x0, np.ones(n + 1))  # [x; 1; p], p set at each boundary
-    for start in starts:
-        for k, gain in enumerate(block(start)[:0:-1], start):
-            z[n + 1:] = gain @ z[:n + 1]
-            if k * c % sub == 0:
-                x[k * c // sub], p[k * c // sub] = z[:n], z[n + 1:]
-            z = (last if k == S - 1 else seg)[0] @ z
-    x[-1], p[-1] = z[:n], z[n + 1:]  # p(T) as marched, not reset to 0
-    if c > 1:  # sub == 1: boundary k is grid row k c
-        fine = stepper(h)[0].T
-        bounds = np.column_stack([x[::c], np.ones(len(x[::c])), p[::c]])
-        marched = bounds[:S]
-        for j in range(1, c + 1):
-            marched = marched @ fine
-            if j < c:
-                rows = len(range(j, m, c))
-                x[j::c], p[j::c] = marched[:rows, :n], marched[:rows, n + 1:]
-        # every full segment's end against the next boundary state
-        defect = float(np.max(np.abs(marched[:len(bounds) - 1] - bounds[1:])))
-        if defect > BOUNDARY_TOL * max(1.0, float(np.max(np.abs(bounds)))):
-            raise ArithmeticError(f"segment seam defect {defect:.3e} exceeds {BOUNDARY_TOL:.3e}")
-    return x, p
+    W, F = gm.W.copy(), gm.k * x0
+    # a k below the rounding of its row of W leaves W as singular as k = 0
+    free = gm.k <= n * np.finfo(float).eps * gm.q
+    if free.any():
+        for C in _closed_classes(W, free):
+            block = W[np.ix_(C, C)]
+            M = block.T.copy()
+            M[-1] = 1.0  # l^T 1 = 1 in place of one dependent equation
+            ell = np.linalg.solve(M, np.eye(len(C))[-1])
+            beta = float(np.max(np.diag(block))) or 1.0
+            W[np.ix_(C, C)] = block + beta * ell
+            F[C] += beta * (ell @ x0[C])
+    c = np.linalg.solve(W, F)
+    R = sqrtm(W).real  # scipy < 1.16 returns a complex array
+    ET = expm(-grid[-1] * R)
+    z = np.linalg.solve(np.eye(n) + ET @ ET, x0 - c)
+    # rows j of Y are E(h)^j [z, w], transposed.  b stored powers of E(h)
+    # cost b n^3 and the coarse march (m/b) n^2, so b ~ sqrt(m/n); one
+    # product with all b powers then fills every row between coarse ones
+    b = math.isqrt(m // n) + 1
+    powers = [expm(-(grid[-1] / (m - 1)) * R).T]
+    for _ in range(b - 1):
+        powers.append(powers[-1] @ powers[0])
+    coarse = np.empty((-(-(m - 1) // b), 2, n))
+    coarse[0] = z, ET @ z
+    for j in range(len(coarse) - 1):
+        coarse[j + 1] = coarse[j] @ powers[-1]
+    fine = (coarse.reshape(-1, n) @ np.hstack(powers)).reshape(-1, 2, b, n)
+    Y = np.concatenate([coarse[:1], fine.swapaxes(1, 2).reshape(-1, 2, n)[:m - 1]])
+    ahead, behind = Y[:, 0], Y[::-1, 1]
+    return c + ahead + behind, (ahead - behind) @ R.T
 
 
 def _propagate_spectral(sd, gm, x0, grid):
@@ -373,9 +356,8 @@ def solve_equilibrium(net: InfluenceNetwork, m: int, *,
     route picks the evaluation path: "auto" prefers the spectral route and
     falls back to the general one, "spectral"/"general" force a path.  The
     returned trajectory carries x, the jointly propagated costate p, and
-    u = -p; the terminal costate, and on the general route each segment
-    seam, is checked against BOUNDARY_TOL so that an ill-conditioned
-    propagation fails loudly instead of returning noise.
+    u = -p.  A trajectory that is not finite, or whose terminal costate
+    exceeds BOUNDARY_TOL, raises ArithmeticError instead of returning noise.
     """
     if m < 2:
         raise ValueError("need at least two grid samples")
@@ -393,6 +375,11 @@ def solve_equilibrium(net: InfluenceNetwork, m: int, *,
         x, p = _propagate_spectral(sd, gm, net.x0, grid)
     else:
         x, p = _propagate_general(gm, net.x0, grid)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        scale = net.T * math.sqrt(np.linalg.norm(gm.W, np.inf))
+        raise ArithmeticError(
+            f"the trajectory is not finite: T sqrt(|W|) = {scale:.3g} is beyond "
+            "the range of float64 exponentials")
     x[0] = net.x0  # t = 0 is the initial condition by definition
     pT = float(np.max(np.abs(p[-1])))
     if pT > BOUNDARY_TOL:

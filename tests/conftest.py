@@ -24,8 +24,8 @@ def leader_net(n, w1, k, x0, T, name=""):
 
 
 def random_net(rng, n=None, T=None, edge_prob=0.5, w_max=3.0, k_max=1.0):
-    """Moderately stiff random instance; horizons stay short enough for the
-    general (augmented-exponential) route to keep full accuracy."""
+    """Moderately stiff random instance on a short horizon, where a reference
+    that takes whole grid steps of e^{A h} still keeps full accuracy."""
     n = int(n if n is not None else rng.integers(3, 13))
     edges = {}
     for i in range(n):

@@ -407,8 +407,10 @@ def test_verify_validates_a_fresh_network_once(monkeypatch, candidate):
     assert len(calls) == 1
 
 
-def test_ci_console_commands_succeed(capsys):
-    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+def test_ci_console_commands_succeed(capsys, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    workflow = root / ".github" / "workflows" / "tests.yml"
+    monkeypatch.chdir(root)  # the workflow runs its commands from the checkout
     commands = [line.split()[1:] for line in workflow.read_text().splitlines()
                 if line.strip().startswith("opiniongame ")]
     assert commands

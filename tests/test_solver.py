@@ -14,13 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_uniform_net, leader_net, random_net
-import opiniongame.solver as solver_module
 from opiniongame.cli import PRESETS
-from opiniongame.linalg import SingularMatrixError
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (BlockTransition, assemble_system, cosh_ratios,
-                                kernel_cosh, kernel_coshm1, kernel_sinhc,
+from opiniongame.solver import (BOUNDARY_TOL, BlockTransition, assemble_system,
+                                cosh_ratios, kernel_cosh, kernel_coshm1, kernel_sinhc,
                                 solve_equilibrium, spectral_data,
                                 transition_blocks)
 from opiniongame.verify import stationarity_check
@@ -298,7 +296,7 @@ def test_huge_weights_keep_opinions_between_the_initial_ones(name):
 
 
 # ---------------------------------------------------------------------------
-# general route: one-step blocks, backward Riccati sweep, forward march
+# general route: the principal square root of W
 
 
 def directed_net(rng, n, T, p=0.3, w_max=1.0):
@@ -404,36 +402,32 @@ def test_general_route_holds_no_gain_per_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # every n x n gain of the sweep at once would take 8 m n^2 bytes (40 MB)
+    # one n x n matrix per sample would take 8 m n^2 bytes (40 MB)
     assert peak < m * n * n * 8
 
 
 def needed_steps(net):
-    """T sqrt(|W|_inf): the fewest steps, or segments, with sqrt(|W|) h <= 1."""
+    """T sqrt(|W|_inf): the fewest steps with sqrt(|W|) h <= 1."""
     return net.T * math.sqrt(np.linalg.norm(build_matrices(net).W, np.inf))
 
 
-def test_general_route_solves_once_per_segment(monkeypatch):
-    net = directed_net(np.random.default_rng(21), 10, 5.0)
-    gesv_calls, block_calls = [], []
+def test_general_route_makes_one_sqrtm_and_two_expm(monkeypatch):
+    calls = []
 
-    def counting_gesv(*args):
-        gesv_calls.append(1)
-        return scipy.linalg.lapack.dgesv(*args)
+    def counting(name):
+        original = getattr(scipy.linalg, name)
 
-    def counting_blocks(sys, t):
-        block_calls.append(t)
-        return transition_blocks(sys, t)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(solver_module, "_gesv", counting_gesv)
-    monkeypatch.setattr(solver_module, "transition_blocks", counting_blocks)
-    traj = solve_equilibrium(net, 2001, route="general")
-    # at most 2 ceil(needed) + 1 segments, each swept twice (checkpoint, recompute)
-    assert len(gesv_calls) <= 2 * (2 * math.ceil(needed_steps(net)) + 1)
-    assert len(block_calls) <= 3
-    x_ref, p_ref = exact_step_reference(net, 2001)
-    assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
-    assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+    for name in ("sqrtm", "expm"):
+        monkeypatch.setattr(scipy.linalg, name, counting(name))
+    for T, m in [(0.4, 2), (5.0, 2001), (500.0, 11), (5e4, 501)]:
+        calls.clear()
+        solve_equilibrium(directed_net(np.random.default_rng(21), 10, T), m, route="general")
+        assert sorted(calls) == ["expm", "expm", "sqrtm"], (T, m)
 
 
 def test_general_route_single_segment_matches_reference():
@@ -446,11 +440,10 @@ def test_general_route_single_segment_matches_reference():
 
 
 def test_general_route_holds_no_gain_per_segment():
-    # m = 11 over T = 500: every segment is one of thousands of fine steps
+    # m = 11 over T = 500: each grid step spans hundreds of stable steps
     n, m = 30, 11
     net = directed_net(np.random.default_rng(23), n, 500.0)
     segments = (m - 1) * math.ceil(needed_steps(net) / (m - 1))
-    assert segments > 1000
     tracemalloc.start()
     try:
         traj = solve_equilibrium(net, m, route="general")
@@ -458,47 +451,26 @@ def test_general_route_holds_no_gain_per_segment():
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(traj.x)) and np.max(np.abs(traj.p[-1])) <= 1e-8
-    # a quarter of what every segment's n x n gain at once would take
+    # a quarter of what one n x n matrix per stable step would take
     assert peak < segments * n * n * 8 / 4
 
 
-def test_general_route_seam_defect_is_an_error(monkeypatch):
-    # a segment block off by 1e-6 still gives gains that reach p(T) = 0, so
-    # only the fine march landing beside the next boundary state can tell
-    net, m = directed_net(np.random.default_rng(24), 10, 5.0), 2001
-    h = net.T / (m - 1)
-    assert needed_steps(net) < (m - 1) / 2  # segments of several fine steps
-
-    def skewed_blocks(sys, t):
-        bt = transition_blocks(sys, t)
-        return bt if t < 1.5 * h else dataclasses.replace(bt, phi11=bt.phi11 + 1e-6)
-
-    monkeypatch.setattr(solver_module, "transition_blocks", skewed_blocks)
-    with pytest.raises(ArithmeticError, match="seam defect"):
-        solve_equilibrium(net, m, route="general")
+@pytest.mark.parametrize("T", [5.0, 500.0, 5e4])
+def test_general_route_solves_stiff_long_horizons(T):
+    # weights near 1e4 over T = 5e4: T sqrt(|W|) is about 1e7, and no
+    # exponential of the route grows with it
+    net = directed_net(np.random.default_rng(30), 30, T, w_max=1e4)
+    traj = solve_equilibrium(net, 501, route="general")
+    assert np.max(np.abs(traj.p[-1])) <= BOUNDARY_TOL
+    assert all(r.passed for r in stationarity_check(net, traj))
 
 
 def test_general_route_refuses_instead_of_crawling():
-    # weights near the float64 limit would need ~1e150 stable steps
+    # weights near the float64 limit: expm of R T ~ 1e150 returns NaN
     net = InfluenceNetwork(n=2, edges={(0, 1): 1e300, (1, 0): 1e300},
                            k=[0.0, 0.0], x0=[0.2, 0.7], T=1.0)
-    with pytest.raises(ArithmeticError, match="steps"):
+    with pytest.raises(ArithmeticError, match="not finite"):
         solve_equilibrium(net, 11, route="general")
-
-
-@pytest.mark.parametrize("entry, message", [(0.0, "singular pivot"),
-                                            (np.nan, "non-finite")])
-def test_general_route_sweep_failures_are_typed(monkeypatch, entry, message):
-    # phi22 = 0 makes the first pivot exactly zero; a NaN block poisons the gains
-    def broken_blocks(sys, t):
-        bt = transition_blocks(sys, t)
-        phi22 = np.full_like(bt.phi22, entry) if entry == 0.0 else bt.phi22 + entry
-        return dataclasses.replace(bt, phi22=phi22)
-
-    monkeypatch.setattr(solver_module, "transition_blocks", broken_blocks)
-    net = random_net(np.random.default_rng(8), n=4, T=1.0)
-    with pytest.raises(SingularMatrixError, match=message):
-        solve_equilibrium(net, 21, route="general")
 
 
 @settings(max_examples=25, deadline=None)
@@ -517,7 +489,65 @@ def test_general_route_boundary_conditions_property(seed, n, T, m):
 def test_general_route_matches_exact_step_reference_property(seed, n, T, m):
     net = directed_net(np.random.default_rng(seed), n, T)
     # the reference takes whole grid steps and loses digits once they grow
-    # by e^{sqrt(|W|) h} >> 1; the route cuts such steps into substeps
+    # by e^{sqrt(|W|) h} >> 1; the route has no growing exponential
+    assume(needed_steps(net) <= 4 * (m - 1))
+    traj = solve_equilibrium(net, m, route="general")
+    x_ref, p_ref = exact_step_reference(net, m)
+    assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
+    assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+
+
+def singular_case(name, k_free):
+    """Networks whose W is singular through closed classes (strongly
+    connected sets that no edge leaves) with k = 0 on every member, or nearly
+    singular with k = k_free there; an edge (i, j) makes agent i follow
+    agent j."""
+    rng = np.random.default_rng(31)
+    x0 = rng.uniform(0.0, 1.0, 6)
+    if name == "all agents":
+        net = directed_net(rng, 6, 3.0)
+        return dataclasses.replace(net, k=np.full(6, k_free))
+    if name == "no edges":
+        return InfluenceNetwork(n=4, edges={}, k=np.full(4, k_free), x0=x0[:4], T=3.0)
+    if name == "one class":
+        # a directed 3-ring with k = 0, followed by three stubborn agents
+        edges = {(0, 1): 1.0, (1, 2): 1.5, (2, 0): 0.7, (0, 2): 0.4,
+                 (3, 0): 0.9, (4, 3): 1.2, (4, 1): 0.3, (5, 4): 0.8, (5, 2): 0.5}
+        k = [k_free, k_free, k_free, 0.3, 0.5, 0.2]
+    else:
+        # a 3-clique and a 2-clique with k = 0, and agent 5 following both
+        edges = {(i, j): float(rng.uniform(0.2, 2.0))
+                 for i in range(3) for j in range(3) if i != j}
+        edges.update({(3, 4): 0.6, (4, 3): 1.4, (5, 0): 0.7, (5, 3): 1.1})
+        k = [k_free] * 5 + [0.0]
+    return InfluenceNetwork(n=6, edges=edges, k=k, x0=x0, T=3.0)
+
+
+@pytest.mark.parametrize("name", ["all agents", "no edges", "one class", "two cliques"])
+@pytest.mark.parametrize("k_free", [0.0, 1e-12, 1e-17, 1e-300])
+def test_general_route_solves_singular_couplings(name, k_free):
+    # 1e-12 leaves W nonsingular; 1e-17 and 1e-300 vanish, or nearly, in the
+    # rounding of W's rows, which are then as singular as with k = 0
+    net = singular_case(name, k_free)
+    traj = solve_equilibrium(net, 201, route="general")
+    x_ref, p_ref = exact_step_reference(net, 201)
+    assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
+    assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+       T=st.floats(0.1, 20.0), m=st.integers(2, 80),
+       zero=st.lists(st.booleans(), min_size=6, max_size=6),
+       drop=st.sampled_from([0.0, 0.6]))
+def test_general_route_with_zero_stubbornness_property(seed, n, T, m, zero, drop):
+    # zeroing k, and dropping edges so that the graph splits into classes,
+    # leaves W singular whenever a closed class keeps no stubborn agent
+    rng = np.random.default_rng(seed)
+    net = directed_net(rng, n, T)
+    k = np.where(zero[:n], 0.0, net.k)
+    edges = {e: w for e, w in net.edges.items() if rng.random() >= drop}
+    net = InfluenceNetwork(n=n, edges=edges, k=k, x0=net.x0, T=T)
     assume(needed_steps(net) <= 4 * (m - 1))
     traj = solve_equilibrium(net, m, route="general")
     x_ref, p_ref = exact_step_reference(net, m)
@@ -639,8 +669,8 @@ def test_initial_condition_linearity():
 
 
 def test_stiff_instance_solves_on_both_routes(fig1b_net):
-    # cosh(sqrt(20.2) * 5) ~ 3e9 wiped out the boundary tolerance when the
-    # general route shot p(0) across the horizon; the sweep only takes steps
+    # cosh(sqrt(20.2) * 5) ~ 3e9 would wipe out the boundary tolerance in a
+    # growing exponential; both routes use decaying ones only
     spectral = solve_equilibrium(fig1b_net, 51, route="spectral")
     general = solve_equilibrium(fig1b_net, 51, route="general")
     assert np.max(np.abs(spectral.p[-1])) <= 1e-12
@@ -650,8 +680,8 @@ def test_stiff_instance_solves_on_both_routes(fig1b_net):
 
 @pytest.mark.parametrize("m", [2, 3, 6])
 def test_general_route_accurate_on_coarse_grids(fig1b_net, m):
-    # one grid step of 1 to 5 time units grows by up to e^30; the route cuts
-    # it into substeps so neither the sweep nor the forward march cancels
+    # one grid step of 1 to 5 time units spans a decay of up to e^-30, and
+    # no growing exponential appears to cancel
     spectral = solve_equilibrium(fig1b_net, m, route="spectral")
     general = solve_equilibrium(fig1b_net, m, route="general")
     assert np.max(np.abs(general.x - spectral.x)) <= 1e-12
