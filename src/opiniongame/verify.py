@@ -160,7 +160,8 @@ class _Transcription:
     so J equals the agent's full cost, not just the variable piece.  L (the
     running trapezoid sum) and M (the tridiagonal exact energy of the
     piecewise-linear control) are applied as O(m) stencils, never formed.
-    Costs and states accept a stack of controls along the leading axis.
+    cost, state, integral, energy_times and hessian_form accept a stack of
+    controls along the leading axis.
     """
 
     def __init__(self, net, traj, i):
@@ -177,10 +178,20 @@ class _Transcription:
         self.b = kx0 + traj.x @ w
         self.c = 0.5 * (kx0 * net.x0[i] + np.square(traj.x) @ w)
 
-    def state(self, u):
+    def integral(self, u):
+        """L u: the running trapezoid integral, zero at the first node."""
         steps = np.cumsum((0.5 * self.h) * (u[..., :-1] + u[..., 1:]), axis=-1)
-        return self.x0i + np.concatenate([np.zeros(u.shape[:-1] + (1,)), steps],
-                                         axis=-1)
+        return np.concatenate([np.zeros(u.shape[:-1] + (1,)), steps], axis=-1)
+
+    def state(self, u):
+        return self.x0i + self.integral(u)
+
+    def energy_times(self, u):
+        """M u, the tridiagonal energy stencil."""
+        mu = self.energy * u
+        mu[..., :-1] += (self.h / 6.0) * u[..., 1:]
+        mu[..., 1:] += (self.h / 6.0) * u[..., :-1]
+        return mu
 
     def cost(self, u):
         x = self.state(u)
@@ -195,10 +206,12 @@ class _Transcription:
         # L' v: tail sums of v[1:], each node taking half of both adjacent steps
         tail = np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
         lt_v = 0.5 * self.h * (tail + np.append(0.0, tail[:-1]))
-        mu = self.energy * u
-        mu[:-1] += (self.h / 6.0) * u[1:]
-        mu[1:] += (self.h / 6.0) * u[:-1]
-        return lt_v + mu
+        return lt_v + self.energy_times(u)
+
+    def hessian_form(self, v):
+        """V H V' for a stack of controls V, with H = q L' S L + M."""
+        lv = self.integral(v)
+        return (self.q * self.s * lv) @ lv.T + v @ self.energy_times(v).T
 
     def minimize(self):
         """Minimizer of J from the KKT system of the QP in (u, x, lambda).
@@ -314,10 +327,13 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
 
     Draws `count` band-limited perturbations (random low-order Fourier sums,
     normalized to unit sup norm), applies each at every amplitude in
-    _AMPLITUDES relative to |u_i|_inf + 1, and recomputes the transcribed
-    cost with rivals frozen.  All perturbations of one amplitude are costed
-    as one count x m batch; the base cost goes through the same batched
-    path, so a zero amplitude gives a gain of exactly zero.  Returns
+    _AMPLITUDES relative to |u_i|_inf + 1, and prices it with rivals frozen.
+    The transcribed cost is quadratic, so a probe e d changes it by exactly
+    e g'd + (e^2/2) d'Hd with g the gradient at u_i and H = q L'SL + M.
+    Every d is c'B / peak for the 12 x m sine/cosine basis B, so g'd and
+    d'Hd come from Bg and the 12 x 12 form B H B'; the only count x m work
+    is the product that finds each peak.  Each gain is -e (g'd + e d'Hd / 2),
+    so a zero amplitude gives exactly zero and e^2 is never formed.  Returns
     (passed, worst_gain) where worst_gain is the largest cost reduction any
     perturbation achieved; passing means no reduction beyond _DEVIATION_TOL.
     """
@@ -325,15 +341,20 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
         raise ValueError("count must be >= 1")
     model = _Transcription(net, traj, i)
     u_base = traj.u[:, i]
-    base_cost = model.cost(u_base[None])[0]
-    coef = np.random.default_rng(seed).standard_normal((count, 2, 6))
+    coef = np.random.default_rng(seed).standard_normal((count, 2, 6)).reshape(count, 12)
     phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
-    delta = coef.reshape(count, 12) @ np.vstack([np.sin(phase), np.cos(phase)])
-    peak = np.max(np.abs(delta), axis=1)
-    delta = delta[peak != 0.0] / peak[peak != 0.0, None]
+    basis = np.vstack([np.sin(phase), np.cos(phase)])
+    basis_gradient = basis @ model.gradient(u_base)
+    basis_hessian = model.hessian_form(basis)
+    delta = coef @ basis
+    peak = np.max(np.abs(delta, out=delta), axis=1)
+    coef = coef[peak != 0.0] / peak[peak != 0.0, None]
+    slope = coef @ basis_gradient
+    curve = np.einsum("ki,ij,kj->k", coef, basis_hessian, coef)
     scale = float(np.max(np.abs(u_base))) + 1.0
     worst_gain = 0.0
     for amp in _AMPLITUDES:
-        gains = base_cost - model.cost(u_base + (amp * scale) * delta)
+        e = amp * scale
+        gains = -e * (slope + (0.5 * e) * curve)
         worst_gain = max(worst_gain, float(np.max(gains, initial=0.0)))
     return worst_gain <= _DEVIATION_TOL, worst_gain

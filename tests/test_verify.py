@@ -2,6 +2,7 @@
 and deviation probes."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,9 @@ def test_transcription_stencils_match_dense_operators(fig1b_net):
     # a stack of controls is costed row by row
     U = np.stack([u, 2.0 * u, np.zeros(41)])
     np.testing.assert_array_equal(model.cost(U), [model.cost(v) for v in U])
+    # the Hessian form of a stack: V (q L'SL + M) V'
+    H = model.q * (L.T * model.s) @ L + M
+    np.testing.assert_allclose(model.hessian_form(U), U @ H @ U.T, rtol=1e-13, atol=0)
 
 
 def test_zero_coupling_equilibrium_cost_is_zero():
@@ -490,3 +494,114 @@ def test_deviation_batches_match_sequential_reference(fig1b_net, candidate):
         ref_ok, ref_worst = sequential_deviation_test(fig1b_net, traj, i, 30, i)
         assert ok == ref_ok
         assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0.0)
+
+
+def difference_deviation_test(net, traj, i, count, seed):
+    """The batched difference form that the quadratic expansion replaced:
+    each amplitude re-costs all perturbations as one count x m batch."""
+    model = _Transcription(net, traj, i)
+    u_base = traj.u[:, i]
+    base_cost = model.cost(u_base[None])[0]
+    coef = np.random.default_rng(seed).standard_normal((count, 2, 6))
+    phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
+    delta = coef.reshape(count, 12) @ np.vstack([np.sin(phase), np.cos(phase)])
+    peak = np.max(np.abs(delta), axis=1)
+    delta = delta[peak != 0.0] / peak[peak != 0.0, None]
+    scale = float(np.max(np.abs(u_base))) + 1.0
+    worst_gain = 0.0
+    for amp in (1e-3, 1e-2, 1e-1):
+        gains = base_cost - model.cost(u_base + (amp * scale) * delta)
+        worst_gain = max(worst_gain, float(np.max(gains, initial=0.0)))
+    return worst_gain <= 1e-9, worst_gain
+
+
+def assert_matches_difference_form(net, traj, count):
+    """Same verdict for every agent; gains within 1e-12 relative where the
+    difference form's gain is at least 1e-3, and otherwise within 1e-12 of
+    the agent's cost, the roundoff scale of a difference of two costs."""
+    for i in range(traj.n):
+        ok, gain = deviation_test(net, traj, i, count, seed=i)
+        ref_ok, ref_gain = difference_deviation_test(net, traj, i, count, seed=i)
+        assert ok == ref_ok, f"agent {i + 1}: {gain!r} vs {ref_gain!r}"
+        if ref_gain >= 1e-3:
+            assert gain == pytest.approx(ref_gain, rel=1e-12, abs=0.0)
+        else:
+            cost = float(_Transcription(net, traj, i).cost(traj.u[:, i]))
+            assert abs(gain - ref_gain) <= 1e-12 * max(1.0, abs(cost))
+
+
+@pytest.mark.parametrize("m", [201, 501])
+@pytest.mark.parametrize("candidate", ["solver", "constant"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_deviation_expansion_matches_difference_form(name, candidate, m):
+    net = PRESETS[name].network
+    traj = (solve_equilibrium(net, m) if candidate == "solver"
+            else constant_candidate(net, m))
+    assert_matches_difference_form(net, traj, count=100)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       half=st.integers(1, 150), constant=st.booleans())
+def test_deviation_expansion_matches_difference_form_on_random_nets(
+        seed, n, half, constant):
+    net = random_net(np.random.default_rng(seed), n=n)
+    m = 2 * half + 1
+    traj = constant_candidate(net, m) if constant else solve_equilibrium(net, m)
+    assert_matches_difference_form(net, traj, count=20)
+
+
+def test_deviation_test_never_costs_a_batch(fig1b_net, monkeypatch):
+    traj = constant_candidate(fig1b_net, 201)
+
+    def no_cost(self, u):
+        raise AssertionError("deviation_test re-costed controls")
+
+    monkeypatch.setattr(_Transcription, "cost", no_cost)
+    ok, worst = deviation_test(fig1b_net, traj, 0, count=20, seed=0)
+    assert not ok and worst > 1e-3
+
+
+def test_deviation_test_holds_about_one_probe_batch(fig1b_net):
+    m, count = 2001, 100
+    traj = solve_equilibrium(fig1b_net, m)
+    deviation_test(fig1b_net, traj, 0, count=count, seed=0)  # first-use allocations
+    tracemalloc.start()
+    try:
+        deviation_test(fig1b_net, traj, 0, count=count, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one count x m float batch finds the peaks; re-costing each amplitude
+    # as its own batch peaked above five
+    assert peak < 3 * count * m * 8
+
+
+def rescaled(net, alpha):
+    """The same game with weights and k times alpha over a horizon T / sqrt(alpha)."""
+    return replace(net, edges={e: alpha * w for e, w in net.edges.items()},
+                   k=alpha * np.asarray(net.k), T=net.T / np.sqrt(alpha))
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig3b", "fig2c"])
+def test_deviation_finds_profit_at_large_scale(name):
+    # the base cost is near 1e50 here, so a difference of two costs loses
+    # the whole gain to roundoff and reads 0.0
+    net = rescaled(PRESETS[name].network, 1e100)
+    cand = constant_candidate(net, 501)
+    gains = [deviation_test(net, cand, i, count=100, seed=i) for i in range(net.n)]
+    assert not all(ok for ok, _ in gains)
+    assert max(g for _, g in gains) > 0.0
+
+
+@pytest.mark.parametrize("alpha", [1e100, 1e160, 2.0**1000])
+def test_deviation_test_raises_no_runtime_warning_at_large_scale(alpha):
+    for name in ("fig1b", "fig3b", "fig2c"):
+        net = rescaled(PRESETS[name].network, alpha)
+        trajectories = [constant_candidate(net, 201), solve_equilibrium(net, 201)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for traj in trajectories:
+                for i in range(net.n):
+                    _, worst = deviation_test(net, traj, i, count=50, seed=i)
+                    assert np.isfinite(worst)
