@@ -6,10 +6,9 @@ from .analytic import (complete_limit, complete_pairwise_distance,
                        epsilon_consensus_time, gamma, leader_distance,
                        leader_limit, leader_params, leader_trajectory)
 from .linalg import SingularMatrixError, exp_with_integral, solve_linear
-from .network import (CompleteUniform, Diagnostic, GameMatrices,
-                      InfluenceNetwork, SingleLeader, build_matrices,
-                      classify_topology, network_from_dict, network_to_dict,
-                      validate)
+from .network import (CompleteUniform, Diagnostic, InfluenceNetwork,
+                      SingleLeader, build_matrices, classify_topology,
+                      network_from_dict, network_to_dict, validate)
 from .solver import (BlockTransition, EquilibriumTrajectory, SpectralData,
                      assemble_system, kernel_cosh, kernel_coshm1,
                      kernel_sinhc, solve_equilibrium, spectral_data,

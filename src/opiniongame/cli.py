@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic
-from .linalg import SingularMatrixError
 from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
                       _assemble_matrices, classify_topology, network_from_dict,
                       network_to_dict, validate)
@@ -185,8 +184,8 @@ def load_scenario(path) -> InfluenceNetwork:
             print(f"warning: {d.message}", file=sys.stderr)
     if errors:
         raise CliInputError("invalid scenario: " + "; ".join(d.message for d in errors))
-    # fill the cached matrices now, so that the solver does not validate again
-    vars(net)["matrices"] = _assemble_matrices(net)
+    # fill the cached W now, so that the solver does not validate again
+    vars(net)["W"] = _assemble_matrices(net)
     return net
 
 
@@ -454,7 +453,7 @@ def main(argv=None) -> int:
     except UnsupportedTopology as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (SingularMatrixError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

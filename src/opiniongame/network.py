@@ -1,4 +1,4 @@
-"""Influence network instances, their coupling matrices and the two
+"""Influence network instances, their coupling matrix W and the two
 closed-form families.
 
 An instance is a weighted directed graph on n agents plus per-agent
@@ -28,7 +28,8 @@ class InfluenceNetwork:
     edges maps ordered index pairs (i, j) to the nonnegative weight with
     which agent j influences agent i; missing pairs mean weight zero.
     k is the stubbornness vector, x0 the initial opinions, T the horizon.
-    Every field is read-only, so the cached `matrices` never go stale.
+    Every field is read-only, so the cached coupling matrix `W` never goes
+    stale.
     """
 
     n: int
@@ -48,7 +49,7 @@ class InfluenceNetwork:
         object.__setattr__(self, "edges", types.MappingProxyType(dict(self.edges)))
 
     @functools.cached_property
-    def matrices(self) -> GameMatrices:
+    def W(self) -> np.ndarray:
         """build_matrices(self) once per instance; if invalid, raises on every access."""
         return build_matrices(self)
 
@@ -127,26 +128,6 @@ class SingleLeader:
         return len(self.k)
 
 
-@dataclass(frozen=True)
-class GameMatrices:
-    """Coupling data assembled from a network.
-
-    W is the Laplacian-like matrix: diagonal q_i = sum_j w_ij + k_i and
-    off-diagonal entries -w_ij, so its rows sum to the stubbornness vector.
-    k is that stubbornness vector, q the diagonal of W.
-    """
-
-    W: np.ndarray
-    k: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        for name in ("W", "k", "q"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
 def validate(net: InfluenceNetwork) -> list[Diagnostic]:
     """Collect diagnostics; empty list means the instance is well formed.
 
@@ -198,23 +179,25 @@ def validate(net: InfluenceNetwork) -> list[Diagnostic]:
     return out
 
 
-def build_matrices(net: InfluenceNetwork) -> GameMatrices:
-    """Assemble W (Laplacian-like), k and the diagonal q from a network."""
+def build_matrices(net: InfluenceNetwork) -> np.ndarray:
+    """Assemble the read-only coupling matrix W of a network: diagonal
+    q_i = sum_j w_ij + k_i and off-diagonal entries -w_ij, so its rows sum
+    to the stubbornness vector k."""
     errors = [d for d in validate(net) if d.severity == "error"]
     if errors:
         raise ValueError("invalid network: " + "; ".join(d.message for d in errors))
     return _assemble_matrices(net)
 
 
-def _assemble_matrices(net: InfluenceNetwork) -> GameMatrices:
+def _assemble_matrices(net: InfluenceNetwork) -> np.ndarray:
     """build_matrices for a network that validate has already passed."""
     n = int(net.n)
     i, j, w = net.edge_arrays
     W = np.zeros((n, n))
     W[i, j] -= w  # the keys are unique, so each entry takes one weight
-    q = -W.sum(axis=1) + net.k
-    W[np.arange(n), np.arange(n)] = q
-    return GameMatrices(W=W, k=net.k.copy(), q=q)
+    W[np.arange(n), np.arange(n)] = -W.sum(axis=1) + net.k
+    W.setflags(write=False)
+    return W
 
 
 def classify_topology(net: InfluenceNetwork) -> CompleteUniform | SingleLeader | None:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import exp_with_integral
-from .network import (CompleteUniform, GameMatrices, InfluenceNetwork,
-                      SingleLeader, classify_topology)
+from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
+                      classify_topology)
 
 # smallest normal float; phi(z) = -expm1(-z)/z is exactly 1 there.
 _TINY = np.finfo(float).tiny
@@ -155,12 +155,12 @@ class EquilibriumTrajectory:
 # block machinery
 
 
-def assemble_system(gm: GameMatrices) -> np.ndarray:
+def assemble_system(W: np.ndarray) -> np.ndarray:
     """The stacked 2n x 2n system matrix A = [[0, -I], [-W, 0]]."""
-    n = gm.W.shape[0]
+    n = W.shape[0]
     A = np.zeros((2 * n, 2 * n))
     A[:n, n:] = -np.eye(n)
-    A[n:, :n] = -gm.W
+    A[n:, :n] = -W
     return A
 
 
@@ -211,7 +211,7 @@ def _leader_spectrum(family):
     return SpectralData(lambdas=lam, V=V, Vinv=Vinv)
 
 
-def spectral_data(gm: GameMatrices, topology=None):
+def spectral_data(W: np.ndarray, topology=None):
     """Real eigendecomposition of W when one is reliably available, else None.
 
     The closed-form families that classify_topology returns get exact
@@ -220,7 +220,6 @@ def spectral_data(gm: GameMatrices, topology=None):
     _IMAG_TOL and V is well conditioned; every basis must reconstruct W to
     _RESID_RTOL.
     """
-    W = gm.W
     sd = None
     if isinstance(topology, CompleteUniform):
         sd = _complete_uniform_spectrum(topology)
@@ -274,7 +273,7 @@ def _closed_classes(W, free):
         yield np.flatnonzero(members)
 
 
-def _propagate_general(gm, x0, grid):
+def _propagate_general(net, grid):
     """Square-root route for x'' = W x - F, F = K x0, x(0) = x0, x'(T) = 0.
     With R the principal square root of W, c = W^-1 F and E(s) = e^{-R s},
 
@@ -292,10 +291,10 @@ def _propagate_general(gm, x0, grid):
     """
     from scipy.linalg import expm, sqrtm
 
-    m, n = len(grid), len(x0)
-    W, F = gm.W.copy(), gm.k * x0
+    x0, m, n = net.x0, len(grid), int(net.n)
+    W, F = net.W.copy(), net.k * x0
     # a k below the rounding of its row of W leaves W as singular as k = 0
-    free = gm.k <= n * np.finfo(float).eps * gm.q
+    free = net.k <= n * np.finfo(float).eps * W.diagonal()
     if free.any():
         for C in _closed_classes(W, free):
             block = W[np.ix_(C, C)]
@@ -326,7 +325,7 @@ def _propagate_general(gm, x0, grid):
     return c + ahead + behind, (ahead - behind) @ R.T
 
 
-def _propagate_spectral(sd, gm, x0, grid):
+def _propagate_spectral(sd, net, grid):
     """Per-mode closed form.  With y = V^-1 x, g = V^-1 K x0 and c = g/lambda,
 
         y(t) = c + [cosh(sqrt(l)(T-t))/cosh(sqrt(l) T)] (y0 - c),
@@ -335,9 +334,9 @@ def _propagate_spectral(sd, gm, x0, grid):
     evaluated through cosh_ratios, which stays bounded for any lambda T."""
     T = grid[-1]
     rem = T - grid
-    y0 = sd.Vinv @ np.asarray(x0, dtype=float)
-    g = sd.Vinv @ (gm.k * np.asarray(x0, dtype=float))
-    m, n = len(grid), len(x0)
+    y0 = sd.Vinv @ net.x0
+    g = sd.Vinv @ (net.k * net.x0)
+    m, n = len(grid), int(net.n)
     Y = np.empty((m, n), order="F")  # filled a mode (column) at a time
     Q = np.empty((m, n), order="F")
     # W is diagonally dominant with a nonnegative diagonal, so its real
@@ -349,34 +348,25 @@ def _propagate_spectral(sd, gm, x0, grid):
     return Y @ sd.V.T, Q @ sd.V.T
 
 
-def solve_equilibrium(net: InfluenceNetwork, m: int, *,
-                      route="auto") -> EquilibriumTrajectory:
+def solve_equilibrium(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
     """Sample the unique equilibrium trajectory on a uniform m-point grid.
 
-    route picks the evaluation path: "auto" prefers the spectral route and
-    falls back to the general one, "spectral"/"general" force a path.  The
+    W alone picks the route: the spectral one wherever spectral_data finds
+    a trustworthy real eigendecomposition, the general one otherwise.  The
     returned trajectory carries x, the jointly propagated costate p, and
     u = -p.  A trajectory that is not finite, or whose terminal costate
     exceeds BOUNDARY_TOL, raises ArithmeticError instead of returning noise.
     """
     if m < 2:
         raise ValueError("need at least two grid samples")
-    gm = net.matrices
+    sd = spectral_data(net.W, classify_topology(net))
     grid = np.linspace(0.0, net.T, m)
-    sd = None
-    if route not in ("auto", "spectral", "general"):
-        raise ValueError(f"unknown route {route!r}")
-    if route in ("auto", "spectral"):
-        sd = spectral_data(gm, classify_topology(net))
-        if sd is None and route == "spectral":
-            raise ValueError("no trustworthy real eigendecomposition; "
-                             "use route='general'")
     if sd is not None:
-        x, p = _propagate_spectral(sd, gm, net.x0, grid)
+        x, p = _propagate_spectral(sd, net, grid)
     else:
-        x, p = _propagate_general(gm, net.x0, grid)
+        x, p = _propagate_general(net, grid)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-        scale = net.T * math.sqrt(np.linalg.norm(gm.W, np.inf))
+        scale = net.T * math.sqrt(np.linalg.norm(net.W, np.inf))
         raise ArithmeticError(
             f"the trajectory is not finite: T sqrt(|W|) = {scale:.3g} is beyond "
             "the range of float64 exponentials")

@@ -102,7 +102,7 @@ def _grid_step(grid):
     if len(grid) < 3:
         raise ValueError("grid too coarse for quadrature")
     h = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-12 * max(1.0, abs(grid[-1]))):
+    if not np.max(np.abs(np.diff(grid) - h)) <= 1e-12 * max(1.0, abs(grid[-1])):
         raise ValueError("quadrature requires a uniform grid")
     return float(h)
 
@@ -170,9 +170,9 @@ class _Transcription:
         self.s = simpson_weights(m, h)
         self.energy = np.full(m, 2.0 * h / 3.0)  # diagonal of M; off-diagonal h/6
         self.energy[[0, -1]] = h / 3.0
-        self.q = float(net.matrices.q[i])
+        self.q = float(net.W[i, i])
         self.x0i = float(net.x0[i])
-        w = -net.matrices.W[i]  # agent i's influence weights, zero on itself
+        w = -net.W[i]  # agent i's influence weights, zero on itself
         w[i] = 0.0
         kx0 = net.k[i] * net.x0[i]
         self.b = kx0 + traj.x @ w
@@ -298,13 +298,13 @@ def stationarity_check(net: InfluenceNetwork,
     is the truncation bound (h^2/6) max |p'''| with p''' = W(K x0 - W x)
     evaluated along the trajectory, padded by a small safety factor.
     """
-    gm = net.matrices
+    W = net.W
     grid = traj.grid
     h = _grid_step(grid)
     x, p, u = traj.x, traj.p, traj.u
     # dp/dt = -W x + K x0; third derivative of p is W (dp/dt)
-    pdot = -x @ gm.W.T + gm.k * net.x0
-    p3 = pdot @ gm.W.T
+    pdot = -x @ W.T + net.k * net.x0
+    p3 = pdot @ W.T
     dp = (p[2:] - p[:-2]) / (2.0 * h)
     costate_resid = np.max(np.abs(dp - pdot[1:-1]), axis=0)
     costate_tol = 2.0 * (h * h / 6.0) * np.max(np.abs(p3), axis=0) + 1e-9

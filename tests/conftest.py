@@ -1,8 +1,12 @@
 """Shared instance builders for the test suite."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from opiniongame import solver
 from opiniongame.network import InfluenceNetwork
 
 X0_LADDER = np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95])
@@ -38,6 +42,15 @@ def random_net(rng, n=None, T=None, edge_prob=0.5, w_max=3.0, k_max=1.0):
         x0=rng.uniform(0.0, 1.0, n),
         T=float(T if T is not None else rng.uniform(1.0, 3.0)),
     )
+
+
+@contextlib.contextmanager
+def general_route():
+    """Inside the block, solve_equilibrium takes the general route on every
+    network: the solver's spectral_data finds no decomposition.  A plain
+    context manager, so it also works inside Hypothesis test bodies."""
+    with mock.patch.object(solver, "spectral_data", lambda W, topology=None: None):
+        yield
 
 
 @pytest.fixture

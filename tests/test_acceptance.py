@@ -61,14 +61,14 @@ def test_criterion_3_block_identities():
     worst = 0.0
     for _ in range(20):
         net = random_net(rng, n=int(rng.integers(2, 13)))
-        gm = build_matrices(net)
-        sys = assemble_system(gm)
+        W = build_matrices(net)
+        sys = assemble_system(W)
         for t in rng.uniform(0.0, net.T, 10):
             bt = transition_blocks(sys, t)
             scale = max(1.0, float(np.max(np.abs(bt.phi11))))
             gaps = (np.max(np.abs(bt.phi22 - bt.phi11)),
                     np.max(np.abs(bt.psi22 + bt.phi12)),
-                    np.max(np.abs(bt.phi21 - gm.W @ bt.phi12)))
+                    np.max(np.abs(bt.phi21 - W @ bt.phi12)))
             worst = max(worst, float(max(gaps) / scale))
     assert worst <= 1e-10, f"block identity residual {worst:.3e}"
     _report(3, f"phi/psi block identities on 20 random nets, residual {worst:.2e} <= 1e-10")

@@ -1,11 +1,13 @@
 """Tests for the closed-form trajectories, limits and consensus metrics."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import X0_LADDER, complete_uniform_net, leader_net
+from conftest import X0_LADDER, complete_uniform_net, general_route, leader_net
 import opiniongame.analytic as analytic_module
 from opiniongame.analytic import (complete_limit, complete_pairwise_distance,
                                   complete_params, complete_trajectory,
@@ -437,8 +439,9 @@ def test_complete_closed_form_matches_both_routes_property(n, w, k, T, seed):
     net = complete_uniform_net(n, w, k, x0, T)
     ts = np.linspace(0.0, T, 101)
     ref = complete_trajectory(complete_params(net), x0, ts)
-    for route in ("auto", "general"):
-        assert np.max(np.abs(solve_equilibrium(net, 101, route=route).x - ref)) <= 1e-9
+    for route in (contextlib.nullcontext(), general_route()):
+        with route:
+            assert np.max(np.abs(solve_equilibrium(net, 101).x - ref)) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -449,8 +452,9 @@ def test_leader_closed_form_matches_both_routes_property(n, T, seed):
                      rng.uniform(0.0, 1.0, n), T)
     ts = np.linspace(0.0, T, 101)
     ref = leader_trajectory(leader_params(net), net.x0, ts)
-    for route in ("auto", "general"):
-        assert np.max(np.abs(solve_equilibrium(net, 101, route=route).x - ref)) <= 1e-9
+    for route in (contextlib.nullcontext(), general_route()):
+        with route:
+            assert np.max(np.abs(solve_equilibrium(net, 101).x - ref)) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -467,6 +471,7 @@ def test_gamma_non_increasing_property(case):
 def test_mean_fixed_on_complete_nets_without_stubbornness_property(n, w, T, seed):
     x0 = np.random.default_rng(seed).uniform(0.0, 1.0, n)
     net = complete_uniform_net(n, w, 0.0, x0, T)
-    for route in ("auto", "general"):
-        x = solve_equilibrium(net, 101, route=route).x
+    for route in (contextlib.nullcontext(), general_route()):
+        with route:
+            x = solve_equilibrium(net, 101).x
         assert np.max(np.abs(x.mean(axis=1) - x0.mean())) <= 1e-12

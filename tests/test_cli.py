@@ -16,7 +16,7 @@ import opiniongame.analytic as analytic_module
 import opiniongame.cli as cli_module
 import opiniongame.network as network_module
 import opiniongame.solver as solver_module
-from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_UNSUPPORTED,
+from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNSUPPORTED,
                              EXIT_VERIFY_FAILED, PRESETS, CliInputError,
                              cmd_figures, cmd_simulate, cmd_verify, get_preset,
                              load_scenario, main, save_scenario,
@@ -230,6 +230,22 @@ def test_limits_general_topology_exits_4():
     assert rc == EXIT_UNSUPPORTED
 
 
+def test_non_finite_trajectory_exits_3(tmp_path, capsys):
+    # weights of 1e150 around a directed 3-cycle over T = 1e6 put the
+    # route's exponentials far beyond float64; the solve refuses before any
+    # output is written
+    scenario = tmp_path / "cycle.json"
+    scenario.write_text(json.dumps({
+        "n": 3, "T": 1e6, "x0": [0.2, 0.7, 0.4], "k": [0.0, 0.1, 0.0],
+        "edges": [{"from": i, "to": j, "w": 1e150} for i, j in ((1, 2), (2, 3), (3, 1))]}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver error: the trajectory is not finite" in captured.err
+    assert not out.exists()
+
+
 def test_limits_leader_values(capsys):
     rc = main(["limits", "--preset", "fig2b", "--eps", "0.2"])
     assert rc == EXIT_OK
@@ -395,8 +411,8 @@ def test_figures_rejects_bad_sample_count_before_writing(capsys, tmp_path, sampl
 
 @pytest.mark.parametrize("candidate", [None, "constant"])
 def test_verify_validates_a_fresh_network_once(monkeypatch, candidate):
-    # the solver and every verifier call share the matrices cached on the
-    # network; PRESETS networks keep theirs across tests, so use a fresh copy
+    # the solver and every verifier call share the W cached on the network;
+    # PRESETS networks keep theirs across tests, so use a fresh copy
     net = replace(PRESETS["fig2b"].network)
     calls = []
     original = network_module.validate

@@ -17,35 +17,35 @@ from opiniongame.network import (CompleteUniform, InfluenceNetwork,
 
 def test_build_complete_uniform_entries():
     net = complete_uniform_net(3, 1.0, 0.5, [0.1, 0.5, 0.9], 2.0)
-    gm = build_matrices(net)
-    np.testing.assert_allclose(np.diag(gm.W), [2.5, 2.5, 2.5])
-    off = gm.W[~np.eye(3, dtype=bool)]
+    W = build_matrices(net)
+    np.testing.assert_allclose(np.diag(W), [2.5, 2.5, 2.5])
+    off = W[~np.eye(3, dtype=bool)]
     np.testing.assert_allclose(off, -1.0)
-    np.testing.assert_allclose(gm.k, [0.5, 0.5, 0.5])
+    np.testing.assert_allclose(net.k, [0.5, 0.5, 0.5])
 
 
 def test_build_single_leader_triangular():
     net = leader_net(4, [0.0, 1.0, 2.0, 3.0], [0.3, 0.1, 0.2, 0.4],
                      [0.2, 0.4, 0.6, 0.8], 1.0)
-    gm = build_matrices(net)
-    assert np.allclose(gm.W, np.tril(gm.W))
-    assert gm.q[0] == pytest.approx(0.3)           # leader: q_1 = k_1
-    np.testing.assert_allclose(gm.q[1:], [1.1, 2.2, 3.4])  # q_i = k_i + w_i1
-    np.testing.assert_allclose(gm.W[1:, 0], [-1.0, -2.0, -3.0])
+    W = build_matrices(net)
+    assert np.allclose(W, np.tril(W))
+    assert W[0, 0] == pytest.approx(0.3)           # leader: q_1 = k_1
+    np.testing.assert_allclose(W.diagonal()[1:], [1.1, 2.2, 3.4])  # q_i = k_i + w_i1
+    np.testing.assert_allclose(W[1:, 0], [-1.0, -2.0, -3.0])
 
 
 def test_build_single_agent():
     net = InfluenceNetwork(n=1, edges={}, k=[0.3], x0=[0.5], T=1.0)
-    gm = build_matrices(net)
-    assert gm.W.shape == (1, 1) and gm.W[0, 0] == pytest.approx(0.3)
+    W = build_matrices(net)
+    assert W.shape == (1, 1) and W[0, 0] == pytest.approx(0.3)
 
 
 def test_row_sums_equal_stubbornness():
     rng = np.random.default_rng(21)
     for _ in range(10):
         net = random_net(rng)
-        gm = build_matrices(net)
-        resid = gm.W @ np.ones(net.n) - net.k
+        W = build_matrices(net)
+        resid = W @ np.ones(net.n) - net.k
         assert np.max(np.abs(resid)) <= 1e-12 * net.n
 
 
@@ -59,10 +59,10 @@ def test_build_matrices_permutation_equivariance():
         n=7,
         edges={(int(inv[i]), int(inv[j])): w for (i, j), w in net.edges.items()},
         k=net.k[perm], x0=net.x0[perm], T=net.T)
-    gm = build_matrices(net)
-    gm2 = build_matrices(relabeled)
-    np.testing.assert_allclose(gm2.W, gm.W[np.ix_(perm, perm)], atol=1e-15)
-    np.testing.assert_allclose(gm2.q, gm.q[perm], atol=1e-15)
+    W = build_matrices(net)
+    W2 = build_matrices(relabeled)
+    np.testing.assert_allclose(W2, W[np.ix_(perm, perm)], atol=1e-15)
+    np.testing.assert_allclose(W2.diagonal(), W.diagonal()[perm], atol=1e-15)
 
 
 def test_validate_clean_network():
@@ -131,7 +131,7 @@ def test_edge_arrays_follow_the_edge_dict():
     for (a, b), weight in net.edges.items():
         W[a, b] -= weight
     np.fill_diagonal(W, -W.sum(axis=1) + net.k)
-    assert build_matrices(net).W.tobytes() == W.tobytes()
+    assert build_matrices(net).tobytes() == W.tobytes()
 
 
 def test_mixed_integer_key_types_assemble_like_python_ints():
@@ -142,7 +142,7 @@ def test_mixed_integer_key_types_assemble_like_python_ints():
     plain = InfluenceNetwork(n=3, edges={(2, 0): 1.5, (0, 1): 2.0},
                              k=[0.1] * 3, x0=[0.5] * 3, T=1.0)
     assert validate(mixed) == []
-    assert build_matrices(mixed).W.tobytes() == build_matrices(plain).W.tobytes()
+    assert build_matrices(mixed).tobytes() == build_matrices(plain).tobytes()
 
 
 def test_validate_warns_on_out_of_range_opinion():
@@ -175,18 +175,18 @@ def test_matrices_are_assembled_once_per_instance(monkeypatch):
     original = network_module.validate
     monkeypatch.setattr(network_module, "validate",
                         lambda net: calls.append(net) or original(net))
-    assert net.matrices is net.matrices
+    assert net.W is net.W
     assert len(calls) == 1
-    np.testing.assert_array_equal(net.matrices.W, build_matrices(net).W)
+    np.testing.assert_array_equal(net.W, build_matrices(net))
 
 
 def test_replaced_network_gets_its_own_matrices():
     net = leader_net(3, 1.0, 0.2, [0.1, 0.5, 0.9], 2.0)
-    W = net.matrices.W.copy()
+    W = net.W.copy()
     heavier = replace(net, edges={**net.edges, (2, 0): 5.0})
-    assert heavier.matrices.W[2, 0] == -5.0 and heavier.matrices.q[2] == pytest.approx(5.2)
-    np.testing.assert_array_equal(heavier.matrices.W, build_matrices(heavier).W)
-    np.testing.assert_array_equal(net.matrices.W, W)
+    assert heavier.W[2, 0] == -5.0 and heavier.W[2, 2] == pytest.approx(5.2)
+    np.testing.assert_array_equal(heavier.W, build_matrices(heavier))
+    np.testing.assert_array_equal(net.W, W)
 
 
 def test_invalid_network_raises_on_every_matrices_access():
@@ -194,7 +194,7 @@ def test_invalid_network_raises_on_every_matrices_access():
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError, match="self-edge on agent 1") as info:
-            net.matrices
+            net.W
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 

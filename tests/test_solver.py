@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_uniform_net, leader_net, random_net
+from conftest import complete_uniform_net, general_route, leader_net, random_net
 from opiniongame.cli import PRESETS
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
@@ -154,20 +154,19 @@ def test_assemble_system_single_agent():
 
 def test_assemble_system_blocks_and_trace():
     net = complete_uniform_net(3, 1.0, 0.5, [0.1, 0.5, 0.9], 2.0)
-    gm = build_matrices(net)
-    A = assemble_system(gm)
+    W = build_matrices(net)
+    A = assemble_system(W)
     n = 3
     np.testing.assert_array_equal(A[:n, :n], np.zeros((n, n)))
     np.testing.assert_array_equal(A[n:, n:], np.zeros((n, n)))
     np.testing.assert_array_equal(A[:n, n:], -np.eye(n))
-    np.testing.assert_array_equal(A[n:, :n], -gm.W)
+    np.testing.assert_array_equal(A[n:, :n], -W)
     assert np.trace(A) == 0.0
 
 
 def test_transition_blocks_at_zero():
     net = complete_uniform_net(4, 1.2, 0.3, [0.2, 0.4, 0.6, 0.8], 2.0)
-    gm = build_matrices(net)
-    bt = transition_blocks(assemble_system(gm), 0.0)
+    bt = transition_blocks(assemble_system(build_matrices(net)), 0.0)
     np.testing.assert_array_equal(bt.phi11, np.eye(4))
     np.testing.assert_array_equal(bt.phi12, np.zeros((4, 4)))
     np.testing.assert_array_equal(bt.psi12, np.zeros((4, 4)))
@@ -176,8 +175,7 @@ def test_transition_blocks_at_zero():
 def test_transition_blocks_scalar_cosh_form():
     lam, t = 2.6, 1.4
     net = InfluenceNetwork(n=1, edges={}, k=[lam], x0=[0.5], T=2.0)
-    gm = build_matrices(net)
-    bt = transition_blocks(assemble_system(gm), t)
+    bt = transition_blocks(assemble_system(build_matrices(net)), t)
     assert bt.phi11[0, 0] == pytest.approx(kernel_cosh(lam, t), rel=1e-12)
     assert bt.phi12[0, 0] == pytest.approx(-kernel_sinhc(lam, t), rel=1e-12)
     assert bt.phi21[0, 0] == pytest.approx(-lam * kernel_sinhc(lam, t), rel=1e-12)
@@ -189,18 +187,18 @@ def test_block_identities_on_random_networks():
     rng = np.random.default_rng(101)
     for _ in range(8):
         net = random_net(rng)
-        gm = build_matrices(net)
-        sys = assemble_system(gm)
+        W = build_matrices(net)
+        sys = assemble_system(W)
         for t in rng.uniform(0.0, net.T, 4):
             bt = transition_blocks(sys, t)
             scale = max(1.0, np.max(np.abs(bt.phi11)))
             assert np.max(np.abs(bt.phi22 - bt.phi11)) <= 1e-10 * scale
             assert np.max(np.abs(bt.psi22 + bt.phi12)) <= 1e-10 * scale
-            assert np.max(np.abs(bt.phi21 - gm.W @ bt.phi12)) <= 1e-10 * scale * max(
-                1.0, np.max(np.abs(gm.W)))
+            assert np.max(np.abs(bt.phi21 - W @ bt.phi12)) <= 1e-10 * scale * max(
+                1.0, np.max(np.abs(W)))
 
 
-def spectral_blocks(sd, gm, t):
+def spectral_blocks(sd, W, t):
     """Reference blocks from a real eigendecomposition W = V diag(l) V^-1:
     phi11 = V diag(cosh(sqrt(l) t)) V^-1, phi12 = -V diag(sinh(sqrt(l) t)/sqrt(l)) V^-1,
     psi12 = -V diag((cosh(sqrt(l) t)-1)/l) V^-1, phi21 = W phi12, phi22 = phi11,
@@ -210,7 +208,7 @@ def spectral_blocks(sd, gm, t):
     phi11 = (V * np.array([kernel_cosh(l, t) for l in lam])) @ Vinv
     phi12 = -(V * np.array([kernel_sinhc(l, t) for l in lam])) @ Vinv
     psi12 = -(V * np.array([kernel_coshm1(l, t) for l in lam])) @ Vinv
-    return BlockTransition(t=t, phi11=phi11, phi12=phi12, phi21=gm.W @ phi12,
+    return BlockTransition(t=t, phi11=phi11, phi12=phi12, phi21=W @ phi12,
                            phi22=phi11, psi12=psi12, psi22=-phi12)
 
 
@@ -221,13 +219,13 @@ def test_spectral_blocks_match_transition_blocks():
                    np.linspace(0.2, 0.8, 5), 3.0),
     ]
     for net in cases:
-        gm = build_matrices(net)
-        sd = spectral_data(gm, classify_topology(net))
+        W = build_matrices(net)
+        sd = spectral_data(W, classify_topology(net))
         assert sd is not None
-        sys = assemble_system(gm)
+        sys = assemble_system(W)
         for t in (0.0, 0.6, 1.9, 3.0):
             bt = transition_blocks(sys, t)
-            sb = spectral_blocks(sd, gm, t)
+            sb = spectral_blocks(sd, W, t)
             scale = max(1.0, np.max(np.abs(bt.phi11)))
             for name in ("phi11", "phi12", "phi21", "phi22", "psi12", "psi22"):
                 gap = np.max(np.abs(getattr(bt, name) - getattr(sb, name)))
@@ -238,20 +236,20 @@ def test_spectral_data_complete_uniform_spectrum():
     # modes: k + n w with multiplicity n-1, then k once
     n, w, k = 6, 1.3, 0.4
     net = complete_uniform_net(n, w, k, np.linspace(0, 1, n), 2.0)
-    gm = build_matrices(net)
-    sd = spectral_data(gm, classify_topology(net))
+    W = build_matrices(net)
+    sd = spectral_data(W, classify_topology(net))
     np.testing.assert_allclose(sd.lambdas[:-1], k + n * w)
     assert sd.lambdas[-1] == pytest.approx(k)
-    assert np.max(np.abs(gm.W @ sd.V - sd.V * sd.lambdas)) <= 1e-8 * np.linalg.norm(gm.W)
+    assert np.max(np.abs(W @ sd.V - sd.V * sd.lambdas)) <= 1e-8 * np.linalg.norm(W)
     np.testing.assert_allclose(sd.Vinv @ sd.V, np.eye(n), atol=1e-12)
 
 
 def test_spectral_data_leader_triangular():
     net = leader_net(4, [0.0, 1.0, 2.0, 0.5], [0.2, 0.3, 0.1, 0.6],
                      [0.1, 0.4, 0.7, 0.9], 2.0)
-    gm = build_matrices(net)
-    sd = spectral_data(gm, classify_topology(net))
-    np.testing.assert_allclose(sd.lambdas, gm.q)
+    W = build_matrices(net)
+    sd = spectral_data(W, classify_topology(net))
+    np.testing.assert_allclose(sd.lambdas, W.diagonal())
     assert np.allclose(sd.V, np.tril(sd.V))
     # nu_i1 = w_i1 / (q_i - q_1)
     np.testing.assert_allclose(sd.V[1:, 0], [1.0 / 1.1, 2.0 / 1.9, 0.5 / 0.9])
@@ -262,9 +260,9 @@ def test_spectral_data_none_for_complex_spectrum():
     edges = {(0, 1): 2.0, (1, 2): 2.0, (2, 0): 2.0}
     net = InfluenceNetwork(n=3, edges=edges, k=[0.1, 0.1, 0.1],
                            x0=[0.2, 0.5, 0.8], T=1.0)
-    gm = build_matrices(net)
-    assert np.max(np.abs(np.linalg.eigvals(gm.W).imag)) > 0.1
-    assert spectral_data(gm, classify_topology(net)) is None
+    W = build_matrices(net)
+    assert np.max(np.abs(np.linalg.eigvals(W).imag)) > 0.1
+    assert spectral_data(W, classify_topology(net)) is None
     # the gates measure W in units of its largest entry, so no norm
     # overflows and lets a complex spectrum through
     for alpha in (1e160, 2.0 ** 1000):
@@ -326,7 +324,7 @@ def exact_step_reference(net, m):
     """The exact-step samples z_{k+1} = Phi(h) z_k + Psi(h) c, z = (x, p) and
     c = (0, K x0), with x_0 = x0 and p_{m-1} = 0, solved as one global sparse
     system; Phi and Psi come from one augmented expm of [[A, I], [0, 0]] h."""
-    W = build_matrices(net).W
+    W = build_matrices(net)
     n, h = net.n, net.T / (m - 1)
     aug = np.zeros((4 * n, 4 * n))
     aug[:n, n:2 * n] = -np.eye(n)
@@ -349,14 +347,16 @@ def exact_step_reference(net, m):
 def test_general_route_zero_costate_for_decoupled_agents():
     net = InfluenceNetwork(n=3, edges={}, k=[0.0, 0.0, 0.0],
                            x0=[0.2, 0.5, 0.8], T=2.0)
-    traj = solve_equilibrium(net, 101, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, 101)
     assert np.max(np.abs(traj.p)) <= 1e-14
 
 
 def test_general_route_zero_costate_for_single_stubborn_agent():
     # x stays at x0, where the stubbornness pull vanishes, so p = 0 throughout
     net = InfluenceNetwork(n=1, edges={}, k=[0.8], x0=[0.4], T=3.0)
-    traj = solve_equilibrium(net, 101, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, 101)
     assert np.max(np.abs(traj.p)) <= 1e-12
     assert np.max(np.abs(traj.x - 0.4)) <= 1e-12
 
@@ -364,7 +364,8 @@ def test_general_route_zero_costate_for_single_stubborn_agent():
 def test_general_route_terminal_costate():
     rng = np.random.default_rng(57)
     net = random_net(rng, n=6, T=2.0)
-    traj = solve_equilibrium(net, 101, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, 101)
     assert np.max(np.abs(traj.p[-1])) <= 1e-12
 
 
@@ -373,7 +374,8 @@ def test_general_route_terminal_costate():
 def test_general_route_matches_exact_step_reference(n, T, m):
     rng = np.random.default_rng(n + m)
     for net in (directed_net(rng, n, T), random_net(rng, n=n, T=T)):
-        traj = solve_equilibrium(net, m, route="general")
+        with general_route():
+            traj = solve_equilibrium(net, m)
         x_ref, p_ref = exact_step_reference(net, m)
         assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
         assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
@@ -385,7 +387,8 @@ def test_general_route_matches_exact_step_reference(n, T, m):
     (100, 2.0, 201, {}),
 ])
 def test_general_route_solves_long_and_dense_instances(n, T, m, kwargs):
-    # shooting p(0) through zeta22(T)^{-1} refused all three
+    # a long horizon, dense coupling and n = 100, each with a complex
+    # spectrum: the general route solves all three to stationarity
     net = directed_net(np.random.default_rng(n), n, T, **kwargs)
     assert spectral_data(build_matrices(net), classify_topology(net)) is None
     traj = solve_equilibrium(net, m)
@@ -398,7 +401,8 @@ def test_general_route_holds_no_gain_per_sample():
     net = directed_net(np.random.default_rng(5), n, 2.0)
     tracemalloc.start()
     try:
-        solve_equilibrium(net, m, route="general")
+        with general_route():
+            solve_equilibrium(net, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -407,8 +411,10 @@ def test_general_route_holds_no_gain_per_sample():
 
 
 def needed_steps(net):
-    """T sqrt(|W|_inf): the fewest steps with sqrt(|W|) h <= 1."""
-    return net.T * math.sqrt(np.linalg.norm(build_matrices(net).W, np.inf))
+    """T sqrt(|W|_inf), the stiffness of net over its horizon: a grid step
+    of e^{A h} grows by up to e^{sqrt(|W|) h}, so exact_step_reference keeps
+    full accuracy while each step covers a few units of it at most."""
+    return net.T * math.sqrt(np.linalg.norm(build_matrices(net), np.inf))
 
 
 def test_general_route_makes_one_sqrtm_and_two_expm(monkeypatch):
@@ -426,33 +432,37 @@ def test_general_route_makes_one_sqrtm_and_two_expm(monkeypatch):
         monkeypatch.setattr(scipy.linalg, name, counting(name))
     for T, m in [(0.4, 2), (5.0, 2001), (500.0, 11), (5e4, 501)]:
         calls.clear()
-        solve_equilibrium(directed_net(np.random.default_rng(21), 10, T), m, route="general")
+        with general_route():
+            solve_equilibrium(directed_net(np.random.default_rng(21), 10, T), m)
         assert sorted(calls) == ["expm", "expm", "sqrtm"], (T, m)
 
 
 def test_general_route_single_segment_matches_reference():
     net = directed_net(np.random.default_rng(22), 6, 0.4, w_max=0.5)
     assert needed_steps(net) <= 1.0
-    traj = solve_equilibrium(net, 301, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, 301)
     x_ref, p_ref = exact_step_reference(net, 301)
     assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
     assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
 
 
 def test_general_route_holds_no_gain_per_segment():
-    # m = 11 over T = 500: each grid step spans hundreds of stable steps
+    # m = 11 over T = 500: each grid step spans hundreds of units of
+    # T sqrt(|W|), and the route's memory must not grow with that stiffness
     n, m = 30, 11
     net = directed_net(np.random.default_rng(23), n, 500.0)
-    segments = (m - 1) * math.ceil(needed_steps(net) / (m - 1))
+    units = (m - 1) * math.ceil(needed_steps(net) / (m - 1))
     tracemalloc.start()
     try:
-        traj = solve_equilibrium(net, m, route="general")
+        with general_route():
+            traj = solve_equilibrium(net, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(traj.x)) and np.max(np.abs(traj.p[-1])) <= 1e-8
-    # a quarter of what one n x n matrix per stable step would take
-    assert peak < segments * n * n * 8 / 4
+    # a quarter of what one n x n matrix per unit of stiffness would take
+    assert peak < units * n * n * 8 / 4
 
 
 @pytest.mark.parametrize("T", [5.0, 500.0, 5e4])
@@ -460,7 +470,8 @@ def test_general_route_solves_stiff_long_horizons(T):
     # weights near 1e4 over T = 5e4: T sqrt(|W|) is about 1e7, and no
     # exponential of the route grows with it
     net = directed_net(np.random.default_rng(30), 30, T, w_max=1e4)
-    traj = solve_equilibrium(net, 501, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, 501)
     assert np.max(np.abs(traj.p[-1])) <= BOUNDARY_TOL
     assert all(r.passed for r in stationarity_check(net, traj))
 
@@ -470,7 +481,8 @@ def test_general_route_refuses_instead_of_crawling():
     net = InfluenceNetwork(n=2, edges={(0, 1): 1e300, (1, 0): 1e300},
                            k=[0.0, 0.0], x0=[0.2, 0.7], T=1.0)
     with pytest.raises(ArithmeticError, match="not finite"):
-        solve_equilibrium(net, 11, route="general")
+        with general_route():
+            solve_equilibrium(net, 11)
 
 
 @settings(max_examples=25, deadline=None)
@@ -478,7 +490,8 @@ def test_general_route_refuses_instead_of_crawling():
        T=st.floats(0.1, 60.0), m=st.integers(2, 120))
 def test_general_route_boundary_conditions_property(seed, n, T, m):
     net = directed_net(np.random.default_rng(seed), n, T, w_max=2.0)
-    traj = solve_equilibrium(net, m, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, m)
     assert np.array_equal(traj.x[0], net.x0)
     assert np.max(np.abs(traj.p[-1])) <= 1e-8
 
@@ -491,7 +504,8 @@ def test_general_route_matches_exact_step_reference_property(seed, n, T, m):
     # the reference takes whole grid steps and loses digits once they grow
     # by e^{sqrt(|W|) h} >> 1; the route has no growing exponential
     assume(needed_steps(net) <= 4 * (m - 1))
-    traj = solve_equilibrium(net, m, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, m)
     x_ref, p_ref = exact_step_reference(net, m)
     assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
     assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
@@ -529,7 +543,8 @@ def test_general_route_solves_singular_couplings(name, k_free):
     # 1e-12 leaves W nonsingular; 1e-17 and 1e-300 vanish, or nearly, in the
     # rounding of W's rows, which are then as singular as with k = 0
     net = singular_case(name, k_free)
-    traj = solve_equilibrium(net, 201, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, 201)
     x_ref, p_ref = exact_step_reference(net, 201)
     assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
     assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
@@ -549,7 +564,8 @@ def test_general_route_with_zero_stubbornness_property(seed, n, T, m, zero, drop
     edges = {e: w for e, w in net.edges.items() if rng.random() >= drop}
     net = InfluenceNetwork(n=n, edges=edges, k=k, x0=net.x0, T=T)
     assume(needed_steps(net) <= 4 * (m - 1))
-    traj = solve_equilibrium(net, m, route="general")
+    with general_route():
+        traj = solve_equilibrium(net, m)
     x_ref, p_ref = exact_step_reference(net, m)
     assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
     assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
@@ -560,8 +576,10 @@ def test_general_route_with_zero_stubbornness_property(seed, n, T, m, zero, drop
        T=st.floats(0.1, 60.0), m=st.integers(2, 120))
 def test_routes_agree_on_symmetric_nets_property(seed, n, T, m):
     net = symmetric_net(np.random.default_rng(seed), n, T)
-    a = solve_equilibrium(net, m, route="spectral")
-    b = solve_equilibrium(net, m, route="general")
+    assert spectral_data(net.W, classify_topology(net)) is not None
+    a = solve_equilibrium(net, m)
+    with general_route():
+        b = solve_equilibrium(net, m)
     scale = max(1.0, float(np.max(np.abs(a.p))))
     assert np.max(np.abs(a.x - b.x)) <= 1e-10
     assert np.max(np.abs(a.p - b.p)) <= 1e-10 * scale
@@ -573,9 +591,10 @@ def test_routes_agree_where_eigh_returns_a_negative_eigenvalue():
     net = symmetric_net(np.random.default_rng(36), 12, 2.0)
     net = dataclasses.replace(net, k=np.zeros(12))
     sd = spectral_data(build_matrices(net), classify_topology(net))
-    assert sd.lambdas.min() < 0.0
-    a = solve_equilibrium(net, 201, route="spectral")
-    b = solve_equilibrium(net, 201, route="general")
+    assert sd is not None and sd.lambdas.min() < 0.0
+    a = solve_equilibrium(net, 201)
+    with general_route():
+        b = solve_equilibrium(net, 201)
     assert np.max(np.abs(a.x - b.x)) <= 1e-10
     assert np.max(np.abs(a.p - b.p)) <= 1e-10
 
@@ -617,13 +636,13 @@ def test_dynamics_residuals_second_order():
 def test_costate_dynamics_residuals_second_order():
     rng = np.random.default_rng(4)
     net = random_net(rng, n=5, T=2.0)
-    gm = build_matrices(net)
+    W = build_matrices(net)
 
     def resid(m):
         traj = solve_equilibrium(net, m)
         h = traj.grid[1] - traj.grid[0]
         dp = (traj.p[2:] - traj.p[:-2]) / (2 * h)
-        rhs = -traj.x[1:-1] @ gm.W.T + gm.k * net.x0
+        rhs = -traj.x[1:-1] @ W.T + net.k * net.x0
         return np.max(np.abs(dp - rhs))
 
     r1, r2 = resid(101), resid(201)
@@ -632,8 +651,10 @@ def test_costate_dynamics_residuals_second_order():
 
 def test_spectral_and_general_routes_agree():
     net = complete_uniform_net(6, 0.8, 0.3, np.linspace(0.1, 0.9, 6), 2.0)
-    a = solve_equilibrium(net, 101, route="spectral")
-    b = solve_equilibrium(net, 101, route="general")
+    assert spectral_data(net.W, classify_topology(net)) is not None
+    a = solve_equilibrium(net, 101)
+    with general_route():
+        b = solve_equilibrium(net, 101)
     assert np.max(np.abs(a.x - b.x)) <= 1e-10
     assert np.max(np.abs(a.p - b.p)) <= 1e-10
 
@@ -671,8 +692,10 @@ def test_initial_condition_linearity():
 def test_stiff_instance_solves_on_both_routes(fig1b_net):
     # cosh(sqrt(20.2) * 5) ~ 3e9 would wipe out the boundary tolerance in a
     # growing exponential; both routes use decaying ones only
-    spectral = solve_equilibrium(fig1b_net, 51, route="spectral")
-    general = solve_equilibrium(fig1b_net, 51, route="general")
+    assert spectral_data(fig1b_net.W, classify_topology(fig1b_net)) is not None
+    spectral = solve_equilibrium(fig1b_net, 51)
+    with general_route():
+        general = solve_equilibrium(fig1b_net, 51)
     assert np.max(np.abs(spectral.p[-1])) <= 1e-12
     assert np.max(np.abs(general.x - spectral.x)) <= 1e-12
     assert np.max(np.abs(general.p - spectral.p)) <= 1e-12
@@ -682,8 +705,10 @@ def test_stiff_instance_solves_on_both_routes(fig1b_net):
 def test_general_route_accurate_on_coarse_grids(fig1b_net, m):
     # one grid step of 1 to 5 time units spans a decay of up to e^-30, and
     # no growing exponential appears to cancel
-    spectral = solve_equilibrium(fig1b_net, m, route="spectral")
-    general = solve_equilibrium(fig1b_net, m, route="general")
+    assert spectral_data(fig1b_net.W, classify_topology(fig1b_net)) is not None
+    spectral = solve_equilibrium(fig1b_net, m)
+    with general_route():
+        general = solve_equilibrium(fig1b_net, m)
     assert np.max(np.abs(general.x - spectral.x)) <= 1e-12
     assert np.max(np.abs(general.p - spectral.p)) <= 1e-12
 

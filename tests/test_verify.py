@@ -120,6 +120,22 @@ def test_cost_identity_on_solver_output(fig1b_net, fig2b_net):
             assert bd.control_term >= 0
 
 
+@pytest.mark.parametrize("m, shift, error", [(2, 0.0, "grid too coarse"),
+                                             (101, 2.0, "uniform grid"),
+                                             (101, 0.5, None)])
+def test_cost_checks_the_grid(fig1b_net, m, shift, error):
+    # the middle node moved by shift atol, atol = 1e-12 max(1, T)
+    traj = solve_equilibrium(fig1b_net, m)
+    grid = traj.grid.copy()
+    grid[m // 2] += shift * 1e-12 * max(1.0, fig1b_net.T)
+    moved = replace(traj, grid=grid)
+    if error is None:
+        assert len(evaluate_cost(fig1b_net, moved)) == fig1b_net.n
+    else:
+        with pytest.raises(ValueError, match=error):
+            evaluate_cost(fig1b_net, moved)
+
+
 def test_quadratic_cost_matches_row_loop(fig2b_net):
     # the row-by-row evaluation of the same z_i' G_i z_i form; only the
     # summation order differs
@@ -317,7 +333,7 @@ def test_verifier_forms_no_dense_matrix(fig1b_net, monkeypatch):
 
 def test_verifier_validates_network_once_per_call(fig1b_net, monkeypatch):
     traj = solve_equilibrium(fig1b_net, 201)
-    net = replace(fig1b_net)  # a fresh instance: the solve cached fig1b_net's matrices
+    net = replace(fig1b_net)  # a fresh instance: the solve cached fig1b_net's W
     calls = []
     original = network_module.validate
     monkeypatch.setattr(network_module, "validate",
