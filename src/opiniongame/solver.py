@@ -14,10 +14,11 @@ provided:
   solves serve every horizon, and the grid rows march e^{-R h} forward from
   the two boundary vectors;
 * a spectral route used whenever W has a trustworthy real eigendecomposition,
-  which collapses the block formula to per-mode cosh/sinh ratios.  One
-  function, cosh_ratios, evaluates them from decaying exponentials and
-  expm1 with no branch in sqrt(lambda) T, so this route stays accurate for
-  stiff instances where cosh(sqrt(lambda) T) dwarfs float64 resolution.
+  which collapses the block formula to cosh/sinh ratios of each mode, taken
+  for every mode at once, a block of grid rows at a time, straight into x and
+  p.  The ratios (cosh_ratios) come from decaying exponentials and expm1 with
+  no branch in sqrt(lambda) T, so the route stays accurate for stiff
+  instances where cosh(sqrt(lambda) T) dwarfs float64 resolution.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ BOUNDARY_TOL = 1e-8
 _IMAG_TOL = 1e-9
 _COND_MAX = 1e8
 _RESID_RTOL = 1e-8
+# entries per row block of the spectral route, n of them per grid row
+_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -47,31 +50,43 @@ _RESID_RTOL = 1e-8
 # the kernels: entire functions of z = lambda t^2 built on the same phi
 
 
-def _phi(z):
-    """-expm1(-z)/z for z >= 0.  z = 0 is lifted to the smallest normal
-    float, where the quotient is exactly 1, the limit at 0."""
-    z = -np.maximum(z, _TINY)
-    return np.expm1(z) / z
+def _phi(w):
+    """phi(-w) for w <= 0, where phi(z) = -expm1(-z)/z; a w above minus the
+    smallest normal float is lowered to it, where phi is exactly its limit 1."""
+    w = np.minimum(w, -_TINY)
+    out = np.expm1(w)
+    out /= w
+    return out
+
+
+def _ratio_numerators(s, a, b):
+    """den = 1 + e^{-2sb} and the numerators over den of cosh_ratios' cosh,
+    sinh/s and gap, as fresh arrays the caller may overwrite.  With
+    e = e^{s(a-b)} and z = 2sa they are e (2 - z phi(z)), 2 a e phi(z) and
+    (b - a)(b + a) phi(s(b + a)) phi(s(b - a)).  No exponent is positive, so
+    nothing overflows for any s b, and s = 0 needs no branch."""
+    gap = _phi(s * -(b + a))
+    gap *= (b - a) * (b + a)
+    w = s * (a - b)
+    e = np.exp(w)
+    gap *= _phi(w)
+    w = s * (-2.0 * a)  # -z
+    phi_z = _phi(w)
+    sinhc = phi_z * e
+    sinhc *= 2.0 * a
+    w *= phi_z
+    w += 2.0
+    e *= w  # the cosh numerator; e has every axis, w may lack those of b
+    return 1.0 + np.exp(-2.0 * s * b), e, sinhc, gap
 
 
 def cosh_ratios(lam, a, b):
     """cosh(sa), s sinh(sa), sinh(sa)/s and (cosh(sb) - cosh(sa))/lam, each
-    divided by cosh(sb), for s = sqrt(lam), lam >= 0 and 0 <= a <= b.
-
-    With r = e^{s(a-b)}/(1 + e^{-2sb}) and z = 2sa, expm1(-z) = -z phi(z)
-    gives r (2 - z phi(z)), 2 lam a r phi(z) and 2 a r phi(z); the gap is
-    (b - a)(b + a) phi(s(b + a)) phi(s(b - a))/(1 + e^{-2sb}).  No exponent
-    is positive, so nothing overflows for any s b, and s = 0 needs no
-    branch.  lam, a and b broadcast against each other.
-    """
-    s = np.sqrt(lam)
-    den = 1.0 + np.exp(-2.0 * s * b)
-    r = np.exp(s * (a - b)) / den
-    z = 2.0 * s * a
-    phi_z = _phi(z)
-    sinhc = 2.0 * a * r * phi_z
-    gap = (b - a) * (b + a) * _phi(s * (b + a)) * _phi(s * (b - a)) / den
-    return r * (2.0 - z * phi_z), lam * sinhc, sinhc, gap
+    divided by cosh(sb), for s = sqrt(lam), lam >= 0 and 0 <= a <= b; all
+    bounded for any s b.  lam, a and b broadcast against each other."""
+    den, cosh, sinhc, gap = _ratio_numerators(np.sqrt(lam), a, b)
+    sinhc = sinhc / den
+    return cosh / den, lam * sinhc, sinhc, gap / den
 
 
 def kernel_sinhc(lam, t):
@@ -86,7 +101,7 @@ def kernel_sinhc(lam, t):
     s = np.empty_like(z)
     pos = z >= 0.0
     a = np.sqrt(z[pos])
-    s[pos] = np.exp(a) * _phi(2.0 * a)
+    s[pos] = np.exp(a) * _phi(-2.0 * a)
     s[~pos] = np.sinc(np.sqrt(-z[~pos]) / np.pi)
     out = t * s
     return float(out) if np.ndim(out) == 0 else out
@@ -326,26 +341,31 @@ def _propagate_general(net, grid):
 
 
 def _propagate_spectral(sd, net, grid):
-    """Per-mode closed form.  With y = V^-1 x, g = V^-1 K x0 and c = g/lambda,
+    """All modes at once, in row blocks of the grid.  With y = V^-1 x,
+    g = V^-1 K x0 and c = g/lambda,
 
         y(t) = c + [cosh(sqrt(l)(T-t))/cosh(sqrt(l) T)] (y0 - c),
         q(t) = sqrt(l) [sinh(sqrt(l)(T-t))/cosh(sqrt(l) T)] (y0 - c),
 
-    evaluated through cosh_ratios, which stays bounded for any lambda T."""
-    T = grid[-1]
-    rem = T - grid
-    y0 = sd.Vinv @ net.x0
-    g = sd.Vinv @ (net.k * net.x0)
-    m, n = len(grid), int(net.n)
-    Y = np.empty((m, n), order="F")  # filled a mode (column) at a time
-    Q = np.empty((m, n), order="F")
+    that is y = y0 cosh + g gap and q = (l y0 - g) sinhc in the ratios of
+    cosh_ratios.  Each block takes their numerators with the modes as rows,
+    folds y0/den, g/den and (l y0 - g)/den into them in place, and maps them
+    straight into its rows of x and p."""
+    T, m, n = grid[-1], len(grid), int(net.n)
     # W is diagonally dominant with a nonnegative diagonal, so its real
     # spectrum is >= 0; a negative eigenvalue is roundoff around 0
-    for j, lam in enumerate(np.maximum(sd.lambdas, 0.0)):
-        cosh, s_sinh, sinhc, gap = cosh_ratios(lam, rem, T)
-        Y[:, j] = y0[j] * cosh + g[j] * gap
-        Q[:, j] = y0[j] * s_sinh - g[j] * sinhc
-    return Y @ sd.V.T, Q @ sd.V.T
+    lam = np.maximum(sd.lambdas, 0.0)
+    y0, g = sd.Vinv @ net.x0, sd.Vinv @ (net.k * net.x0)
+    s, x, p = np.sqrt(lam)[:, None], np.empty((m, n)), np.empty((m, n))
+    rows = max(1, _BLOCK // n)
+    for lo in range(0, m, rows):
+        den, Y, Q, gap = _ratio_numerators(s, T - grid[lo:lo + rows], T)
+        Y *= y0[:, None] / den
+        Y += np.multiply(gap, g[:, None] / den, out=gap)
+        Q *= (lam * y0 - g)[:, None] / den
+        np.matmul(Y.T, sd.V.T, out=x[lo:lo + rows])
+        np.matmul(Q.T, sd.V.T, out=p[lo:lo + rows])
+    return x, p
 
 
 def solve_equilibrium(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:

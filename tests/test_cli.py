@@ -17,7 +17,7 @@ import opiniongame.cli as cli_module
 import opiniongame.network as network_module
 import opiniongame.solver as solver_module
 from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNSUPPORTED,
-                             EXIT_VERIFY_FAILED, PRESETS, CliInputError,
+                             EXIT_VERIFY_FAILED, FIGURE_NAMES, PRESETS, CliInputError,
                              cmd_figures, cmd_simulate, cmd_verify, get_preset,
                              load_scenario, main, save_scenario,
                              write_trajectory_csv)
@@ -246,6 +246,22 @@ def test_non_finite_trajectory_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_best_response_failure_exits_3(tmp_path, capsys):
+    # the same cycle with the constant candidate: no solve, but the
+    # best-response transcription loses stationarity at these weights
+    scenario = tmp_path / "cycle.json"
+    scenario.write_text(json.dumps({
+        "n": 3, "T": 1e6, "x0": [0.1, 0.5, 0.9], "k": [0.0, 0.1, 0.0],
+        "edges": [{"from": i, "to": j, "w": 1e150} for i, j in ((1, 2), (2, 3), (3, 1))]}))
+    rc = main(["verify", "--scenario", str(scenario), "--candidate", "constant"])
+    assert rc == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "solver error: best-response solve did not reach stationarity for agent 1: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_limits_leader_values(capsys):
     rc = main(["limits", "--preset", "fig2b", "--eps", "0.2"])
     assert rc == EXIT_OK
@@ -423,7 +439,7 @@ def test_verify_validates_a_fresh_network_once(monkeypatch, candidate):
     assert len(calls) == 1
 
 
-def test_ci_console_commands_succeed(capsys, monkeypatch):
+def test_ci_console_commands_succeed(capsys, monkeypatch, tmp_path):
     root = Path(__file__).resolve().parents[1]
     workflow = root / ".github" / "workflows" / "tests.yml"
     monkeypatch.chdir(root)  # the workflow runs its commands from the checkout
@@ -431,7 +447,11 @@ def test_ci_console_commands_succeed(capsys, monkeypatch):
                 if line.strip().startswith("opiniongame ")]
     assert commands
     for argv in commands:
+        if argv[0] in ("simulate", "figures"):
+            # the last --out wins, so nothing is written into the checkout
+            argv += ["--out", str(tmp_path)]
         assert main(argv) == EXIT_OK, " ".join(argv)
+    assert {f"{name}.csv" for name in FIGURE_NAMES} <= {p.name for p in tmp_path.iterdir()}
 
 
 def test_classify_returns_family_parameters():

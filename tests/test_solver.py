@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_uniform_net, general_route, leader_net, random_net
+from opiniongame import solver
 from opiniongame.cli import PRESETS
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
@@ -139,6 +140,16 @@ def test_cosh_ratios_broadcast_over_modes_and_times():
     for j, l in enumerate(lam):
         for one, many in zip(cosh_ratios(l, a[:, 0], 2.0), out):
             np.testing.assert_array_equal(one, many[:, j])
+
+
+def test_cosh_ratios_broadcast_over_horizons():
+    lam, b = np.array([0.0, 0.3, 40.0]), np.array([0.5, 2.0, 30.0])[:, None]
+    out = cosh_ratios(lam, 0.25, b)
+    for got in out:
+        assert got.shape == (3, 3)
+    for i, bi in enumerate(b[:, 0]):
+        for one, many in zip(cosh_ratios(lam, 0.25, bi), out):
+            np.testing.assert_allclose(one, many[i], rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +608,78 @@ def test_routes_agree_where_eigh_returns_a_negative_eigenvalue():
         b = solve_equilibrium(net, 201)
     assert np.max(np.abs(a.x - b.x)) <= 1e-10
     assert np.max(np.abs(a.p - b.p)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# spectral route: every mode at once, in row blocks of the grid
+
+
+def per_mode_spectral(sd, net, grid):
+    """Oracle: one cosh_ratios call per mode over the whole grid, filling
+    that mode's column of Y and Q, then x = Y V^T and p = Q V^T.  Q takes
+    (lambda y0 - g) sinhc, as the route does: y0 s_sinh - g sinhc leaves
+    roundoff of order eps lambda |y0| sinhc where lambda y0 = g, as for a
+    lone stubborn agent, whose costate is exactly 0."""
+    T = grid[-1]
+    rem = T - grid
+    y0 = sd.Vinv @ net.x0
+    g = sd.Vinv @ (net.k * net.x0)
+    Y = np.empty((len(grid), net.n))
+    Q = np.empty_like(Y)
+    for j, lam in enumerate(np.maximum(sd.lambdas, 0.0)):
+        cosh, _, sinhc, gap = cosh_ratios(lam, rem, T)
+        Y[:, j] = y0[j] * cosh + g[j] * gap
+        Q[:, j] = (lam * y0[j] - g[j]) * sinhc
+    return Y @ sd.V.T, Q @ sd.V.T
+
+
+def spectral_case(seed, n, family, T):
+    rng = np.random.default_rng(seed)
+    if family == "complete, k = 0":  # one mode at lambda = 0
+        return complete_uniform_net(n, rng.uniform(0.1, 3.0), 0.0, rng.uniform(0.0, 1.0, n), T)
+    net = symmetric_net(rng, n, T)
+    if family == "stiff":  # sqrt(lambda) T in [1.1e3, 3e4] on the fastest mode
+        scale = (rng.uniform(1.1e3, 3e4) / T) ** 2 / np.max(np.linalg.eigvalsh(net.W))
+        net = InfluenceNetwork(n=n, edges={e: w * scale for e, w in net.edges.items()},
+                               k=net.k * scale, x0=net.x0, T=T)
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       family=st.sampled_from(["symmetric", "complete, k = 0", "stiff"]),
+       T=st.floats(0.1, 50.0), blocks=st.integers(0, 3), tail=st.floats(0.0, 1.0))
+def test_blocked_spectral_route_matches_per_mode_oracle_property(seed, n, family, T,
+                                                                  blocks, tail):
+    net = spectral_case(seed, n, family, T)
+    sd = spectral_data(net.W, classify_topology(net))
+    assert sd is not None
+    if family == "stiff":
+        assert math.sqrt(np.max(sd.lambdas)) * T >= 1e3
+    if family == "complete, k = 0":
+        assert np.min(np.abs(sd.lambdas)) == 0.0
+    # whole blocks of solver._BLOCK // n rows, then a last one that is not full
+    rows = max(1, solver._BLOCK // n)
+    m = max(2, blocks * rows + 1 + int(tail * (rows - 2)))
+    grid = np.linspace(0.0, T, m)
+    x, p = solver._propagate_spectral(sd, net, grid)
+    x_ref, p_ref = per_mode_spectral(sd, net, grid)
+    assert np.max(np.abs(x - x_ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(x_ref))))
+    assert np.max(np.abs(p - p_ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(p_ref))))
+
+
+def test_spectral_route_holds_no_per_mode_arrays():
+    n, m = 100, 4001
+    net = symmetric_net(np.random.default_rng(7), n, 5.0)
+    tracemalloc.start()
+    try:
+        solve_equilibrium(net, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x, p and u = -p take 3 (8 m n) bytes; full-grid mode arrays Y and Q
+    # beside them would add 2 (8 m n) more
+    assert peak < 3.5 * 8 * m * n
 
 
 # ---------------------------------------------------------------------------
