@@ -126,23 +126,35 @@ def leader_limit(p: SingleLeader, x0) -> np.ndarray:
 def leader_distance(p: SingleLeader, i, x0, t) -> float:
     """|x_i(t) - x0_1| = (k_i/l_i + xi_i(t)) |x0_i - x0_1|, non-increasing."""
     _check_time(p.T, t)
-    if i < 1 or i >= p.n:
-        raise ValueError("follower index must be in 1..n-1")
-    x0 = _check_x0(p.n, x0)
-    li = p.lam[i]
-    factor = 1.0 if li == 0.0 else p.k[i] / li + float(_xi(p, t)[..., i])
-    return factor * abs(float(x0[i] - x0[0]))
+    dist = _leader_gap(p, i, x0)
+    return _leader_factor(p, i, t) * dist
 
 
 def leader_consensus_time(p: SingleLeader, i, x0, eps):
     """Earliest t with follower i within eps of the leader's opinion, or None."""
     _check_eps(eps)
-    if leader_distance(p, i, x0, 0.0) <= eps:
+    dist = _leader_gap(p, i, x0)
+    if _leader_factor(p, i, 0.0) * dist <= eps:
         return 0.0
-    if leader_distance(p, i, x0, p.T) > eps:
+    if _leader_factor(p, i, p.T) * dist > eps:
         return None
-    dist = abs(float(x0[i] - x0[0]))
     return _ratio_time(p.lam[i], p.k[i], p.w1[i], p.T, eps / dist)
+
+
+def _leader_gap(p: SingleLeader, i, x0) -> float:
+    """|x0_i - x0_1| for a follower i."""
+    if i < 1 or i >= p.n:
+        raise ValueError("follower index must be in 1..n-1")
+    x0 = _check_x0(p.n, x0)
+    return abs(float(x0[i] - x0[0]))
+
+
+def _leader_factor(p: SingleLeader, i, t) -> float:
+    """k_i/l_i + xi_i(t), from follower i's own mode only; 1 where l_i = 0."""
+    li = p.lam[i]
+    if li == 0.0:
+        return 1.0
+    return p.k[i] / li + (p.w1[i] / li) * float(cosh_ratios(li, p.T - float(t), p.T)[0])
 
 
 def _ratio_time(lam, k, w, T, level):

@@ -153,38 +153,49 @@ def quadratic_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -
 
 
 class _Transcription:
-    """Quadratic model of agent i's problem with the rivals frozen.
+    """Quadratic model of the problems of the agents `agents`, rivals frozen.
 
-    J(u) = sum_j s_j [q_i x_j^2 / 2 - b_j x_j + c_j] + u' M u / 2 with
-    x = x0_i + L u, b the frozen neighbor forcing and c the constant part,
-    so J equals the agent's full cost, not just the variable piece.  L (the
-    running trapezoid sum) and M (the tridiagonal exact energy of the
-    piecewise-linear control) are applied as O(m) stencils, never formed.
-    cost, state, integral, energy_times and hessian_form accept a stack of
-    controls along the leading axis.
+    agents is an agent index or an index array; every per-agent quantity is
+    then a scalar or a row per agent.  Agent i's objective is
+    J_i(u) = sum_j s_j [q_i x_j^2 / 2 - b_ij x_j + c_ij] + u' M u / 2 with
+    x = x0_i + L u, b_i the frozen neighbor forcing and c_i the constant
+    part, so J_i equals the agent's full cost, not just the variable piece.
+    The grid, the Simpson weights s, L (the running trapezoid sum) and M (the
+    tridiagonal exact energy of the piecewise-linear control) are shared by
+    all agents and applied as O(m) stencils, never formed; only q_i = W_ii,
+    x0_i, b_i and c_i differ.  state, cost, gradient and energy_times take
+    one control row per agent, or for a single agent a stack of controls
+    along the leading axis.
     """
 
-    def __init__(self, net, traj, i):
+    def __init__(self, net, traj, agents):
         self.h = h = _grid_step(traj.grid)
         m = len(traj.grid)
         self.s = simpson_weights(m, h)
         self.energy = np.full(m, 2.0 * h / 3.0)  # diagonal of M; off-diagonal h/6
         self.energy[[0, -1]] = h / 3.0
-        self.q = float(net.W[i, i])
-        self.x0i = float(net.x0[i])
-        w = -net.W[i]  # agent i's influence weights, zero on itself
-        w[i] = 0.0
-        kx0 = net.k[i] * net.x0[i]
-        self.b = kx0 + traj.x @ w
-        self.c = 0.5 * (kx0 * net.x0[i] + np.square(traj.x) @ w)
+        q = net.W.diagonal()
+        self.q = q[agents]
+        self.x0i = net.x0[agents]
+        w = (np.diag(q) - net.W)[agents]  # influence weights, zero on the agent itself
+        kx0 = (net.k * net.x0)[agents]
+        # b and c from one product of the rivals' x and x^2 with the weights
+        forcing = w @ np.vstack([traj.x, np.square(traj.x)]).T
+        self.b = kx0[..., None] + forcing[..., :m]
+        self.c = 0.5 * ((kx0 * self.x0i)[..., None] + forcing[..., m:])
 
     def integral(self, u):
         """L u: the running trapezoid integral, zero at the first node."""
-        steps = np.cumsum((0.5 * self.h) * (u[..., :-1] + u[..., 1:]), axis=-1)
-        return np.concatenate([np.zeros(u.shape[:-1] + (1,)), steps], axis=-1)
+        out = np.zeros(u.shape)
+        steps = np.add(u[..., :-1], u[..., 1:], out=out[..., 1:])
+        steps *= 0.5 * self.h
+        np.cumsum(steps, axis=-1, out=steps)
+        return out
 
     def state(self, u):
-        return self.x0i + self.integral(u)
+        x = self.integral(u)
+        x += self.x0i[..., None]
+        return x
 
     def energy_times(self, u):
         """M u, the tridiagonal energy stencil."""
@@ -195,31 +206,48 @@ class _Transcription:
 
     def cost(self, u):
         x = self.state(u)
-        state_part = np.sum(self.s * (0.5 * self.q * x * x - self.b * x + self.c), axis=-1)
+        q = self.q[..., None]
+        state_part = np.sum(self.s * (0.5 * q * x * x - self.b * x + self.c), axis=-1)
         a, b = u[..., :-1], u[..., 1:]
         energy = np.sum(a * a + a * b + b * b, axis=-1) * (self.h / 6.0)
         return state_part + energy
 
     def gradient(self, u):
-        x = self.state(u)
-        v = self.s * (self.q * x - self.b)
+        v = self.state(u)  # overwritten in place by s (q x - b), then L' v + M u
+        v *= self.q[..., None]
+        v -= self.b
+        v *= self.s
         # L' v: tail sums of v[1:], each node taking half of both adjacent steps
-        tail = np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
-        lt_v = 0.5 * self.h * (tail + np.append(0.0, tail[:-1]))
-        return lt_v + self.energy_times(u)
+        tail = np.cumsum(v[..., :0:-1], axis=-1)[..., ::-1]
+        v[..., :-1] = tail
+        v[..., -1] = 0.0
+        v[..., 1:] += tail
+        v *= 0.5 * self.h
+        v += self.energy_times(u)
+        return v
 
     def hessian_form(self, v):
-        """V H V' for a stack of controls V, with H = q L' S L + M."""
+        """V H_i V' for a stack of controls V, with H_i = q_i L' S L + M.
+
+        The two agent-independent forms A = V L' S L V' and E = V M V' are
+        formed once; agent i's form is q_i A + E, stacked over the rows.
+        """
         lv = self.integral(v)
-        return (self.q * self.s * lv) @ lv.T + v @ self.energy_times(v).T
+        a = (self.s * lv) @ lv.T
+        e = v @ self.energy_times(v).T
+        return self.q[..., None, None] * a + e
 
     def minimize(self):
-        """Minimizer of J from the KKT system of the QP in (u, x, lambda).
+        """Minimizers of every agent's J_i, for a model of an index array,
+        from the KKT system of the QP in (u, x, lambda).
 
         The trapezoid steps x_j - x_{j-1} = h (u_{j-1} + u_j) / 2 are equality
         rows with multipliers lambda_j.  Ordering the unknowns
         u_0, (x_j, lambda_j, u_j) for j = 1 .. m-1 makes the symmetric KKT
-        matrix banded with bandwidth 4, so one LU solve costs O(m).
+        matrix banded with bandwidth 4, so one LU solve costs O(m).  Only the
+        x diagonal q_i s_j depends on the agent: the band is built once, and
+        the agents that share one exact value of q make one banded solve
+        with their forcings as right-hand-side columns.
         """
         from scipy.linalg import solve_banded
 
@@ -234,15 +262,40 @@ class _Transcription:
 
         put(iu, iu, self.energy)
         put(iu[:-1], iu[1:], h / 6.0)
-        put(ix, ix, self.q * s[1:])
         put(ix, il, 1.0)
         put(ix[:-1], il[1:], -1.0)
         put(il, iu[:-1], -0.5 * h)
         put(il, iu[1:], -0.5 * h)
-        rhs = np.zeros(3 * m - 2)
-        rhs[ix] = s[1:] * self.b[1:]
-        rhs[il[0]] = self.x0i
-        return solve_banded((4, 4), ab, rhs)[iu]
+        u = np.empty(self.b.shape)
+        values, group = np.unique(self.q, return_inverse=True)
+        for g, value in enumerate(values):
+            rows = np.flatnonzero(group == g)
+            ab[4, ix] = value * s[1:]  # the x diagonal, q s_j
+            rhs = np.zeros((len(rows), 3 * m - 2))  # one row per agent
+            np.multiply(s[1:], self.b[rows, 1:], out=rhs[:, 1::3])  # at the x_j
+            rhs[:, 2] = self.x0i[rows]  # at lambda_1: x_1 - h (u_0 + u_1) / 2 = x0_i
+            u[rows] = solve_banded((4, 4), ab, rhs.T, overwrite_b=True)[::3].T
+        return u
+
+
+def _best_responses(net, traj, agents):
+    """Best responses of the agents in the index array `agents`: the model,
+    the controls, the transcribed costs, the candidate's gaps over them and
+    the gradient norms, a row or an entry per agent.  A gradient norm above
+    _GRAD_TOL relative to max(1, |b_i|) raises ArithmeticError naming the
+    first such agent: the solve lost its accuracy."""
+    model = _Transcription(net, traj, agents)
+    u = model.minimize()
+    gnorm = np.linalg.norm(model.gradient(u), axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(model.b, axis=-1))
+    bad = np.flatnonzero(gnorm > _GRAD_TOL * scale)
+    if bad.size:
+        raise ArithmeticError(
+            "best-response solve did not reach stationarity for agent "
+            f"{np.asarray(agents)[bad[0]] + 1}: gradient norm {gnorm[bad[0]]:.3e}")
+    cost = model.cost(u)
+    gap = model.cost(np.ascontiguousarray(traj.u.T[agents])) - cost
+    return model, u, cost, gap, gnorm
 
 
 def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory,
@@ -252,20 +305,13 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory,
     The objective is a strictly convex quadratic in the sampled control, so
     the minimizer comes from one banded KKT solve in O(m) (see
     _Transcription.minimize); the gradient norm is reported, and one above
-    _GRAD_TOL raises ArithmeticError: the solve lost its accuracy.
+    _GRAD_TOL raises ArithmeticError: the solve lost its accuracy.  This is
+    nash_residual's batched solve restricted to agent i.
     """
-    model = _Transcription(net, traj, i)
-    u = model.minimize()
-    gnorm = float(np.linalg.norm(model.gradient(u)))
-    scale = max(1.0, float(np.linalg.norm(model.b)))
-    if gnorm > _GRAD_TOL * scale:
-        raise ArithmeticError(
-            f"best-response solve did not reach stationarity for agent {i + 1}: "
-            f"gradient norm {gnorm:.3e}")
-    cost = float(model.cost(u))
-    gap = float(model.cost(traj.u[:, i])) - cost
-    return BestResponseResult(agent=i, control=u, trajectory=model.state(u),
-                              cost=cost, gap=gap, gradient_norm=gnorm)
+    model, u, cost, gap, gnorm = _best_responses(net, traj, [i])
+    return BestResponseResult(agent=i, control=u[0], trajectory=model.state(u)[0],
+                              cost=float(cost[0]), gap=float(gap[0]),
+                              gradient_norm=float(gnorm[0]))
 
 
 def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> float:
@@ -278,14 +324,11 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> float:
     strictly convex quadratic, where the gradient vanishes, so it equals
     (1/2) du' H du with du = u_cand - u_br and H the transcribed Hessian.
     The transcription is second order, so du = O(h^2) (about 4x smaller per
-    grid doubling) and the residual is O(h^4) (about 16x smaller).
+    grid doubling) and the residual is O(h^4) (about 16x smaller).  Every
+    agent is solved in one batch, one banded solve per distinct q_i.
     """
-    worst = 0.0
-    for i in range(traj.n):
-        res = best_response(net, traj, i)
-        candidate_cost = res.cost + res.gap
-        worst = max(worst, res.gap / max(1.0, candidate_cost))
-    return worst
+    _, _, cost, gap, _ = _best_responses(net, traj, np.arange(traj.n))
+    return float(np.max(gap / np.maximum(1.0, cost + gap), initial=0.0))
 
 
 def stationarity_check(net: InfluenceNetwork,
@@ -329,32 +372,47 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     normalized to unit sup norm), applies each at every amplitude in
     _AMPLITUDES relative to |u_i|_inf + 1, and prices it with rivals frozen.
     The transcribed cost is quadratic, so a probe e d changes it by exactly
-    e g'd + (e^2/2) d'Hd with g the gradient at u_i and H = q L'SL + M.
+    e g'd + (e^2/2) d'Hd with g the gradient at u_i and H = q_i L'SL + M.
     Every d is c'B / peak for the 12 x m sine/cosine basis B, so g'd and
     d'Hd come from Bg and the 12 x 12 form B H B'; the only count x m work
     is the product that finds each peak.  Each gain is -e (g'd + e d'Hd / 2),
     so a zero amplitude gives exactly zero and e^2 is never formed.  Returns
     (passed, worst_gain) where worst_gain is the largest cost reduction any
     perturbation achieved; passing means no reduction beyond _DEVIATION_TOL.
+    This is _deviation_probes restricted to agent i.
+    """
+    return _deviation_probes(net, traj, [i], count, [seed])[0]
+
+
+def _deviation_probes(net, traj, agents, count, seeds):
+    """deviation_test for every agent in the index array `agents`, the r-th
+    drawing its coefficients from default_rng(seeds[r]); a list of
+    (passed, worst_gain) in the order of `agents`.
+
+    B, the two shared forms of B (see _Transcription.hessian_form) and every
+    agent's B g are computed once; each agent then draws its probes, finds
+    their peaks with one count x m product and prices them from its own
+    12-vector B g and 12 x 12 form q_i A + E.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    model = _Transcription(net, traj, i)
-    u_base = traj.u[:, i]
-    coef = np.random.default_rng(seed).standard_normal((count, 2, 6)).reshape(count, 12)
+    model = _Transcription(net, traj, agents)
+    u_base = np.ascontiguousarray(traj.u.T[agents])
     phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
     basis = np.vstack([np.sin(phase), np.cos(phase)])
-    basis_gradient = basis @ model.gradient(u_base)
-    basis_hessian = model.hessian_form(basis)
-    delta = coef @ basis
-    peak = np.max(np.abs(delta, out=delta), axis=1)
-    coef = coef[peak != 0.0] / peak[peak != 0.0, None]
-    slope = coef @ basis_gradient
-    curve = np.einsum("ki,ij,kj->k", coef, basis_hessian, coef)
-    scale = float(np.max(np.abs(u_base))) + 1.0
-    worst_gain = 0.0
-    for amp in _AMPLITUDES:
-        e = amp * scale
-        gains = -e * (slope + (0.5 * e) * curve)
-        worst_gain = max(worst_gain, float(np.max(gains, initial=0.0)))
-    return worst_gain <= _DEVIATION_TOL, worst_gain
+    basis_gradients = model.gradient(u_base) @ basis.T
+    basis_hessians = model.hessian_form(basis)
+    scales = np.max(np.abs(u_base), axis=1) + 1.0
+    results = []
+    for seed, basis_gradient, basis_hessian, scale in zip(
+            seeds, basis_gradients, basis_hessians, scales):
+        coef = np.random.default_rng(seed).standard_normal((count, 2, 6)).reshape(count, 12)
+        delta = coef @ basis
+        peak = np.max(np.abs(delta, out=delta), axis=1)
+        coef = coef[peak != 0.0] / peak[peak != 0.0, None]
+        slope = coef @ basis_gradient
+        curve = np.einsum("ki,ij,kj->k", coef, basis_hessian, coef)
+        e = np.multiply(_AMPLITUDES, scale)[:, None]
+        worst_gain = float(np.max(-e * (slope + (0.5 * e) * curve), initial=0.0))
+        results.append((worst_gain <= _DEVIATION_TOL, worst_gain))
+    return results

@@ -329,6 +329,15 @@ def test_csv_writer_matches_per_value_reference(tmp_path, name, costate):
     assert_same_csv_bytes(tmp_path, traj, costate)
 
 
+@pytest.mark.parametrize("m", [195, 372, 744, 8001])
+@pytest.mark.parametrize("costate", [False, True])
+def test_csv_writer_matches_reference_across_row_blocks(tmp_path, m, costate):
+    # a 2^12-value block holds 372 rows of fig3b's 11 columns and 195 rows
+    # of its 21: one short block, whole blocks only, and a short last block
+    traj = solve_equilibrium(PRESETS["fig3b"].network, m)
+    assert_same_csv_bytes(tmp_path, traj, costate)
+
+
 @pytest.mark.parametrize("costate", [False, True])
 def test_csv_writer_single_agent_two_samples(tmp_path, costate):
     x = np.array([[0.4], [0.3]])
@@ -443,14 +452,18 @@ def test_ci_console_commands_succeed(capsys, monkeypatch, tmp_path):
     root = Path(__file__).resolve().parents[1]
     workflow = root / ".github" / "workflows" / "tests.yml"
     monkeypatch.chdir(root)  # the workflow runs its commands from the checkout
-    commands = [line.split()[1:] for line in workflow.read_text().splitlines()
+    # a line that must exit with code c ends in "&& exit 1 || test $? -eq c"
+    commands = [line.strip().partition(" && exit 1 || test $? -eq ")
+                for line in workflow.read_text().splitlines()
                 if line.strip().startswith("opiniongame ")]
     assert commands
-    for argv in commands:
+    assert any(code for _, _, code in commands)
+    for command, _, code in commands:
+        argv = command.split()[1:]
         if argv[0] in ("simulate", "figures"):
             # the last --out wins, so nothing is written into the checkout
             argv += ["--out", str(tmp_path)]
-        assert main(argv) == EXIT_OK, " ".join(argv)
+        assert main(argv) == (int(code) if code else EXIT_OK), command
     assert {f"{name}.csv" for name in FIGURE_NAMES} <= {p.name for p in tmp_path.iterdir()}
 
 

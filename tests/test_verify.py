@@ -7,16 +7,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_net
 import opiniongame.network as network_module
 import opiniongame.verify as verify_module
-from opiniongame.cli import PRESETS, constant_candidate
+from opiniongame.cli import EXIT_SOLVER, PRESETS, constant_candidate, main
 from opiniongame.network import InfluenceNetwork
 from opiniongame.solver import BOUNDARY_TOL, solve_equilibrium
-from opiniongame.verify import (_Transcription, best_response,
+from opiniongame.verify import (_deviation_probes, _Transcription, best_response,
                                 cumulative_trapezoid_matrix, deviation_test,
                                 evaluate_cost, nash_residual, quadratic_cost,
                                 simpson_weights, stationarity_check)
@@ -531,12 +531,14 @@ def difference_deviation_test(net, traj, i, count, seed):
     return worst_gain <= 1e-9, worst_gain
 
 
-def assert_matches_difference_form(net, traj, count):
+def assert_matches_difference_form(net, traj, count, results=None):
     """Same verdict for every agent; gains within 1e-12 relative where the
     difference form's gain is at least 1e-3, and otherwise within 1e-12 of
-    the agent's cost, the roundoff scale of a difference of two costs."""
+    the agent's cost, the roundoff scale of a difference of two costs.
+    results defaults to deviation_test for each agent i with seed i."""
     for i in range(traj.n):
-        ok, gain = deviation_test(net, traj, i, count, seed=i)
+        ok, gain = (deviation_test(net, traj, i, count, seed=i) if results is None
+                    else results[i])
         ref_ok, ref_gain = difference_deviation_test(net, traj, i, count, seed=i)
         assert ok == ref_ok, f"agent {i + 1}: {gain!r} vs {ref_gain!r}"
         if ref_gain >= 1e-3:
@@ -621,3 +623,101 @@ def test_deviation_test_raises_no_runtime_warning_at_large_scale(alpha):
                 for i in range(net.n):
                     _, worst = deviation_test(net, traj, i, count=50, seed=i)
                     assert np.isfinite(worst)
+
+
+# ---------------------------------------------------------------------------
+# the batched verifier against its per-agent references
+
+
+def lattice_net(rng, n):
+    """A random net whose weights and k lie on a binary lattice, so that
+    agents of equal in-degree share q_i = W_ii exactly and some have k = 0."""
+    net = random_net(rng, n=n)
+    return replace(net, edges={e: float(rng.choice([0.5, 1.0])) for e in net.edges},
+                   k=rng.choice([0.0, 0.5], n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       half=st.integers(1, 100), lattice=st.booleans(), constant=st.booleans())
+@example(seed=3, n=8, half=20, lattice=True, constant=False)
+@example(seed=3, n=8, half=20, lattice=True, constant=True)
+def test_batched_verifier_matches_per_agent_references(seed, n, half, lattice, constant):
+    rng = np.random.default_rng(seed)
+    net = lattice_net(rng, n) if lattice else random_net(rng, n=n)
+    m = 2 * half + 1
+    traj = constant_candidate(net, m) if constant else solve_equilibrium(net, m)
+    ratios, costs = [0.0], [1.0]
+    for i in range(n):
+        model = _Transcription(net, traj, i)
+        cost = dense_cost(model, traj.u[:, i])
+        gap = cost - dense_cost(model, dense_best_response(net, traj, i))
+        ratios.append(gap / max(1.0, cost))
+        costs.append(abs(cost))
+    assert abs(nash_residual(net, traj) - max(ratios)) <= 1e-12 * max(costs)
+    agents = np.arange(n)
+    assert_matches_difference_form(
+        net, traj, 20, results=_deviation_probes(net, traj, agents, 20, agents))
+    assert_matches_difference_form(net, traj, 20)
+
+
+def test_lattice_example_repeats_q_and_has_free_agents():
+    # the pinned example above covers both cases the batching must group
+    net = lattice_net(np.random.default_rng(3), 8)
+    q = net.W.diagonal()
+    assert len(np.unique(q)) < len(q)
+    assert np.any(net.k == 0.0)
+
+
+@pytest.mark.parametrize("name, solves", [("fig1b", 1), ("fig1c", 1), ("fig2b", 2),
+                                          ("fig2c", 2), ("fig3b", 3), ("fig3c", 3),
+                                          ("random", 9)])
+def test_nash_residual_makes_one_banded_solve_per_distinct_q(name, solves, monkeypatch):
+    # fig3b's two follower camps have q = 17.1 up to roundoff: three solves
+    import scipy.linalg
+    net = (random_net(np.random.default_rng(5), n=9) if name == "random"
+           else PRESETS[name].network)
+    traj = solve_equilibrium(net, 101)
+    columns = []
+    original = scipy.linalg.solve_banded
+    monkeypatch.setattr(scipy.linalg, "solve_banded",
+                        lambda lu, ab, b, **kw: columns.append(b.shape[1]) or
+                        original(lu, ab, b, **kw))
+    nash_residual(net, traj)
+    assert len(columns) == solves == len(np.unique(net.W.diagonal()))
+    assert sum(columns) == net.n
+
+
+def test_lost_stationarity_names_the_first_agent(fig1b_net, monkeypatch, capsys):
+    monkeypatch.setattr(verify_module, "_GRAD_TOL", 0.0)
+    traj = solve_equilibrium(fig1b_net, 201)
+    with pytest.raises(ArithmeticError, match="stationarity for agent 1: gradient norm"):
+        nash_residual(fig1b_net, traj)
+    assert main(["verify", "--preset", "fig1b", "--samples", "201"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "solver error: best-response solve did not reach stationarity for agent 1: ")
+
+
+@pytest.mark.parametrize("kind", ["complete", "random"])
+def test_batched_verifier_memory_scales_with_one_trajectory(kind):
+    n, m, count = 100, 2001, 20
+    rng = np.random.default_rng(2)
+    net = (InfluenceNetwork(n=n, edges={(i, j): 0.5 for i in range(n) for j in range(n)
+                                        if i != j},
+                            k=np.full(n, 0.2), x0=rng.uniform(0, 1, n), T=2.0)
+           if kind == "complete" else random_net(rng, n=n, T=2.0, edge_prob=0.05))
+    traj = constant_candidate(net, m)
+    agents = np.arange(n)
+    nash_residual(net, traj)  # first-use allocations and the scipy import
+    tracemalloc.start()
+    try:
+        nash_residual(net, traj)
+        _deviation_probes(net, traj, agents, count, agents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 7.4 m x n arrays today, with every agent in one solve on the
+    # complete net; one m x m array alone is 20 and an (n, count, m) stack 20
+    assert peak < 10 * 8 * m * n
