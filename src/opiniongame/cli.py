@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failed, 2 input error, 3 solver error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import analytic
 from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
-                      _assemble_matrices, classify_topology, network_from_dict,
-                      network_to_dict, validate)
+                      classify_topology, network_from_dict, network_to_dict,
+                      validate)
 from .solver import EquilibriumTrajectory, solve_equilibrium
 from .verify import (_deviation_probes, evaluate_cost, nash_residual,
                      stationarity_check)
@@ -184,8 +185,6 @@ def load_scenario(path) -> InfluenceNetwork:
             print(f"warning: {d.message}", file=sys.stderr)
     if errors:
         raise CliInputError("invalid scenario: " + "; ".join(d.message for d in errors))
-    # fill the cached W now, so that the solver does not validate again
-    vars(net)["W"] = _assemble_matrices(net)
     return net
 
 
@@ -386,6 +385,7 @@ def cmd_figures(which, out_dir, m=501):
     return written
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="opiniongame",

@@ -6,7 +6,8 @@ stubbornness, initial opinions and a horizon.  Edge (i, j) with weight w_ij
 means agent j influences agent i.  Agents are 0-based internally; scenario
 files use 1-based indices.  classify_topology returns an instance's
 closed-form family, CompleteUniform or SingleLeader, with the parameters
-that analytic.py and the exact spectra in solver.py read, or else None.
+that analytic.py reads, or else None; solver.py also reads CompleteUniform
+for its exact eigenbasis.
 """
 
 from __future__ import annotations
@@ -186,11 +187,6 @@ def build_matrices(net: InfluenceNetwork) -> np.ndarray:
     errors = [d for d in validate(net) if d.severity == "error"]
     if errors:
         raise ValueError("invalid network: " + "; ".join(d.message for d in errors))
-    return _assemble_matrices(net)
-
-
-def _assemble_matrices(net: InfluenceNetwork) -> np.ndarray:
-    """build_matrices for a network that validate has already passed."""
     n = int(net.n)
     i, j, w = net.edge_arrays
     W = np.zeros((n, n))

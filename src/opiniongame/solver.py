@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import exp_with_integral
-from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
-                      classify_topology)
+from .network import CompleteUniform, InfluenceNetwork, classify_topology
 
 # smallest normal float; phi(z) = -expm1(-z)/z is exactly 1 there.
 _TINY = np.finfo(float).tiny
@@ -207,57 +206,34 @@ def _complete_uniform_spectrum(family):
     return SpectralData(lambdas=lam, V=V, Vinv=Vinv)
 
 
-def _leader_spectrum(family):
-    """Triangular eigendecomposition of the one-leader topology.
-
-    Needs the leader rate lam_1 separated from every follower lam_i; returns
-    None when some gap is too small for a trustworthy eigenbasis.
-    """
-    lam, n = family.lam, family.n
-    gaps = lam[1:] - lam[0]
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.any(np.abs(gaps) < 1e-8 * scale):
-        return None
-    nu = family.w1[1:] / gaps  # w_i1 / (lam_i - lam_1)
-    V = np.eye(n)
-    V[1:, 0] = nu
-    Vinv = np.eye(n)
-    Vinv[1:, 0] = -nu
-    return SpectralData(lambdas=lam, V=V, Vinv=Vinv)
-
-
 def spectral_data(W: np.ndarray, topology=None):
     """Real eigendecomposition of W when one is reliably available, else None.
 
-    The closed-form families that classify_topology returns get exact
-    eigenbases from their own parameters; symmetric W goes through eigh;
-    anything else through eig, accepted only if the spectrum is real to
+    The complete uniform family gets its exact eigenbasis from its own
+    parameters; symmetric W goes through eigh; anything else, the one-leader
+    star included, through eig, accepted only if the spectrum is real to
     _IMAG_TOL and V is well conditioned; every basis must reconstruct W to
     _RESID_RTOL.
     """
-    sd = None
-    if isinstance(topology, CompleteUniform):
-        sd = _complete_uniform_spectrum(topology)
-    elif isinstance(topology, SingleLeader):
-        sd = _leader_spectrum(topology)
     # the gates measure W in units of s = max |W_ij|, so that no norm
     # overflows or underflows at any scale of the weights
     s = float(np.max(np.abs(W))) or 1.0
     Ws = W / s
     wnorm = np.linalg.norm(Ws)
-    if sd is None:
-        if np.linalg.norm(Ws - Ws.T) <= 1e-12 * wnorm:
-            lam, V = np.linalg.eigh(0.5 * (W + W.T))
-            sd = SpectralData(lambdas=lam, V=V, Vinv=V.T.copy())
-        else:
-            lam, V = np.linalg.eig(W)
-            if np.max(np.abs(lam.imag)) / s > _IMAG_TOL * max(1.0 / s, wnorm):
-                return None
-            lam = lam.real
-            V = V.real
-            if not np.all(np.isfinite(V)) or np.linalg.cond(V) > _COND_MAX:
-                return None
-            sd = SpectralData(lambdas=lam, V=V, Vinv=np.linalg.inv(V))
+    if isinstance(topology, CompleteUniform):
+        sd = _complete_uniform_spectrum(topology)
+    elif np.linalg.norm(Ws - Ws.T) <= 1e-12 * wnorm:
+        lam, V = np.linalg.eigh(0.5 * (W + W.T))
+        sd = SpectralData(lambdas=lam, V=V, Vinv=V.T.copy())
+    else:
+        lam, V = np.linalg.eig(W)
+        if np.max(np.abs(lam.imag)) / s > _IMAG_TOL * max(1.0 / s, wnorm):
+            return None
+        lam = lam.real
+        V = V.real
+        if not np.all(np.isfinite(V)) or np.linalg.cond(V) > _COND_MAX:
+            return None
+        sd = SpectralData(lambdas=lam, V=V, Vinv=np.linalg.inv(V))
     resid = np.linalg.norm(Ws @ sd.V - sd.V * (sd.lambdas / s))
     if not resid <= _RESID_RTOL * max(wnorm, 1.0 / s):
         return None

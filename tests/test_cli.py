@@ -525,16 +525,32 @@ def test_simulate_and_limits_classify_the_leader_preset_sparingly(tmp_path, monk
 
 @pytest.mark.parametrize("argv", [["simulate", "--samples", "51"],
                                   ["verify", "--count", "5", "--samples", "301"]])
-def test_scenario_is_validated_once(tmp_path, monkeypatch, capsys, argv):
+def test_scenario_validates_at_load_and_at_first_w(tmp_path, monkeypatch, capsys, argv):
+    # load_scenario validates to print warnings; the network's cached W
+    # validates once more on first use, and every later solve reuses it
     monkeypatch.chdir(tmp_path)  # simulate writes its CSV under --out = "."
-    save_scenario(PRESETS["fig2b"].network, "fig2b.json")
+    wide = replace(PRESETS["fig2b"].network, x0=[1.5] + [0.5] * 9)
+    save_scenario(wide, "wide.json")
     calls = []
     original = network_module.validate
     spy = lambda net: calls.append(net) or original(net)  # noqa: E731
     monkeypatch.setattr(network_module, "validate", spy)
     monkeypatch.setattr(cli_module, "validate", spy)
-    assert main(argv + ["--scenario", "fig2b.json"]) == EXIT_OK
-    assert len(calls) == 1
+    assert main(argv + ["--scenario", "wide.json"]) == EXIT_OK
+    assert len(calls) == 2 and calls[0] is calls[1]
+    assert capsys.readouterr().err == (
+        "warning: initial opinions outside [0, 1] (range [0.5, 1.5]); accepted as-is\n")
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    cli_module._build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["limits", "--preset", "fig1c"]) == EXIT_OK
+        assert main(["simulate", "--preset", "fig2b", "--samples", "11",
+                     "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["simulate"]) == EXIT_INPUT
+    info = cli_module._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
 
 
 def test_invalid_scenario_keeps_its_warnings_and_message(tmp_path, capsys):

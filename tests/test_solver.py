@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_uniform_net, general_route, leader_net, random_net
 from opiniongame import solver
+from opiniongame.analytic import leader_params, leader_trajectory
 from opiniongame.cli import PRESETS
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
@@ -255,15 +256,48 @@ def test_spectral_data_complete_uniform_spectrum():
     np.testing.assert_allclose(sd.Vinv @ sd.V, np.eye(n), atol=1e-12)
 
 
-def test_spectral_data_leader_triangular():
+def test_spectral_data_leader_star_basis_rebuilds_w():
     net = leader_net(4, [0.0, 1.0, 2.0, 0.5], [0.2, 0.3, 0.1, 0.6],
                      [0.1, 0.4, 0.7, 0.9], 2.0)
     W = build_matrices(net)
     sd = spectral_data(W, classify_topology(net))
-    np.testing.assert_allclose(sd.lambdas, W.diagonal())
-    assert np.allclose(sd.V, np.tril(sd.V))
-    # nu_i1 = w_i1 / (q_i - q_1)
-    np.testing.assert_allclose(sd.V[1:, 0], [1.0 / 1.1, 2.0 / 1.9, 0.5 / 0.9])
+    np.testing.assert_allclose(sd.V @ np.diag(sd.lambdas) @ sd.Vinv, W, atol=1e-14)
+    # W is triangular, so its spectrum is its diagonal
+    np.testing.assert_allclose(np.sort(sd.lambdas), np.sort(W.diagonal()), rtol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 30), stubborn_leader=st.booleans(),
+       alpha=st.sampled_from([1.0, 1e100, 1e-100]), seed=st.integers(0, 2**32 - 1))
+def test_leader_star_spectral_route_matches_closed_form_property(
+        n, stubborn_leader, alpha, seed):
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+    if not stubborn_leader:
+        k[0] = 0.0
+    w = rng.uniform(0.05, 5.0, n)
+    lam = k + w
+    lam[0] = k[0]
+    assume(np.min(np.abs(lam[1:] - lam[0])) >= 1e-3 * np.max(lam))
+    T = float(rng.uniform(0.1, 10.0))
+    net = rescaled(leader_net(n, w, k, rng.uniform(0.0, 1.0, n), T), alpha,
+                   T / math.sqrt(alpha))
+    assert spectral_data(net.W, classify_topology(net)) is not None
+    traj = solve_equilibrium(net, 101)
+    ref = leader_trajectory(leader_params(net), net.x0, traj.grid)
+    assert np.max(np.abs(traj.x - ref)) <= 1e-12
+    assert np.max(np.abs(traj.p[-1])) <= BOUNDARY_TOL
+
+
+def test_defective_leader_star_takes_the_general_route():
+    # follower 2's rate k + w = 0.5 equals the leader's k = 0.5, so W has a
+    # repeated eigenvalue with one eigenvector and eig's basis is refused
+    net = InfluenceNetwork(n=3, edges={(1, 0): 0.3, (2, 0): 1.0}, k=[0.5, 0.2, 0.4],
+                           x0=[0.1, 0.6, 0.9], T=2.0)
+    assert spectral_data(net.W, classify_topology(net)) is None
+    traj = solve_equilibrium(net, 201)
+    ref = leader_trajectory(leader_params(net), net.x0, traj.grid)
+    assert np.max(np.abs(traj.x - ref)) <= 1e-14
 
 
 def test_spectral_data_none_for_complex_spectrum():
