@@ -307,8 +307,9 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
         traj = solve_equilibrium(net, m)
     residual = nash_residual(net, traj)
     reports = stationarity_check(net, traj)
-    agents = np.arange(traj.n)
-    deviations = _deviation_probes(net, traj, agents, count, seed + agents)
+    # Python ints, so that no seed wraps or overflows at any size
+    deviations = _deviation_probes(net, traj, np.arange(traj.n), count,
+                                   [seed + a for a in range(traj.n)])
     passed = (residual <= residual_tol
               and all(r.passed for r in reports)
               and all(ok for ok, _ in deviations))

@@ -171,6 +171,17 @@ def validate(net: InfluenceNetwork) -> list[Diagnostic]:
             out.append(Diagnostic("error", f"self-edge on agent {i + 1}"))
         if not np.isfinite(w) or w < 0:
             out.append(Diagnostic("error", f"{tag}: weight must be finite and >= 0, got {w}"))
+    if not out:  # so the edges hold as arrays, each in range
+        # q_i as build_matrices sums it, so that a network passes here
+        # exactly when every diagonal entry of W is finite
+        rows, cols, weights = net.edge_arrays
+        dense = np.zeros((n, n))
+        dense[rows, cols] = weights
+        with np.errstate(over="ignore"):
+            q = dense.sum(axis=1) + net.k
+        for i in np.flatnonzero(~np.isfinite(q)):
+            out.append(Diagnostic(
+                "error", f"agent {i + 1}: in-weights plus k sum beyond the float64 range"))
     if net.x0.shape == (n,) and np.all(np.isfinite(net.x0)):
         low, high = float(np.min(net.x0)), float(np.max(net.x0))
         if low < 0.0 or high > 1.0:

@@ -11,8 +11,9 @@ provided:
 * a general route, exact for arbitrary W and stable at any horizon: with R
   the principal square root of W, the trajectory combines the decaying
   exponentials e^{-R t} and e^{-R (T - t)}, so one sqrtm, two expm and two
-  solves serve every horizon, and the grid rows march e^{-R h} forward from
-  the two boundary vectors;
+  solves serve every horizon, and the grid rows, powers of e^{-R h} applied
+  to the two boundary vectors, are filled by doubling in ceil(log2 m)
+  products;
 * a spectral route used whenever W has a trustworthy real eigendecomposition,
   which collapses the block formula to cosh/sinh ratios of each mode, taken
   for every mode at once, a block of grid rows at a time, straight into x and
@@ -299,19 +300,18 @@ def _propagate_general(net, grid):
     R = sqrtm(W).real  # scipy < 1.16 returns a complex array
     ET = expm(-grid[-1] * R)
     z = np.linalg.solve(np.eye(n) + ET @ ET, x0 - c)
-    # rows j of Y are E(h)^j [z, w], transposed.  b stored powers of E(h)
-    # cost b n^3 and the coarse march (m/b) n^2, so b ~ sqrt(m/n); one
-    # product with all b powers then fills every row between coarse ones
-    b = math.isqrt(m // n) + 1
-    powers = [expm(-(grid[-1] / (m - 1)) * R).T]
-    for _ in range(b - 1):
-        powers.append(powers[-1] @ powers[0])
-    coarse = np.empty((-(-(m - 1) // b), 2, n))
-    coarse[0] = z, ET @ z
-    for j in range(len(coarse) - 1):
-        coarse[j + 1] = coarse[j] @ powers[-1]
-    fine = (coarse.reshape(-1, n) @ np.hstack(powers)).reshape(-1, 2, b, n)
-    Y = np.concatenate([coarse[:1], fine.swapaxes(1, 2).reshape(-1, 2, n)[:m - 1]])
+    # row j of Y is E(h)^j [z, w], transposed.  With step = E(h)^done,
+    # rows [done, 2 done) are rows [0, done) times step: ceil(log2 m)
+    # products fill the grid, squaring the step while rows remain
+    Y = np.empty((m, 2, n))
+    Y[0] = z, ET @ z
+    step, done = expm(-(grid[-1] / (m - 1)) * R).T, 1
+    while done < m:
+        k = min(done, m - done)
+        np.matmul(Y[:k].reshape(-1, n), step, out=Y[done:done + k].reshape(-1, n))
+        done += k
+        if done < m:
+            step = step @ step
     ahead, behind = Y[:, 0], Y[::-1, 1]
     return c + ahead + behind, (ahead - behind) @ R.T
 
@@ -362,10 +362,10 @@ def solve_equilibrium(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
     else:
         x, p = _propagate_general(net, grid)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-        scale = net.T * math.sqrt(np.linalg.norm(net.W, np.inf))
+        s = float(np.max(np.abs(net.W)))
         raise ArithmeticError(
-            f"the trajectory is not finite: T sqrt(|W|) = {scale:.3g} is beyond "
-            "the range of float64 exponentials")
+            f"the trajectory is not finite: max |W_ij| = {s:.3g}, "
+            f"T sqrt(max |W_ij|) = {net.T * math.sqrt(s):.3g}")
     x[0] = net.x0  # t = 0 is the initial condition by definition
     pT = float(np.max(np.abs(p[-1])))
     if pT > BOUNDARY_TOL:

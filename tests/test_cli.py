@@ -408,6 +408,39 @@ def test_negative_seed_fails_before_solving(capsys, monkeypatch):
         cmd_verify(PRESETS["fig2b"].network, 301, count=5, seed=-3)
 
 
+@pytest.mark.parametrize("preset, seed", [
+    ("fig1b", "100000000000000000000"),
+    ("fig2b", str(2**70)),
+    ("fig2b", "9223372036854775800"),  # seed + agent passes 2^63 at agent 8
+])
+def test_seed_beyond_int64_verifies(capsys, preset, seed):
+    assert main(["verify", "--preset", preset, "--count", "5", "--seed", seed]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_each_agent_draws_from_seed_plus_its_index():
+    # each agent's probes come from default_rng(seed + agent) whatever the
+    # seed's integer type
+    net = PRESETS["fig3b"].network
+    report = cmd_verify(net, 301, count=7, seed=11)
+    traj = solve_equilibrium(net, 301)
+    agents = np.arange(net.n)
+    assert report.deviations == cli_module._deviation_probes(
+        net, traj, agents, 7, np.int64(11) + agents)
+
+
+def test_overflowing_diagonal_fails_validation(tmp_path, capsys):
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps({
+        "n": 3, "T": 1.0, "x0": [0.1, 0.5, 0.9], "k": [0.0, 0.1, 0.2],
+        "edges": [{"from": 1, "to": 2, "w": 1.5e308}, {"from": 1, "to": 3, "w": 1.5e308}]}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: invalid scenario: agent 1: in-weights plus k sum beyond the float64 range\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["verify"], ["limits"]])
 def test_preset_and_scenario_together_fail(capsys, tmp_path, command):
     # the scenario path does not exist: the clash is reported before any read

@@ -152,6 +152,29 @@ def test_validate_warns_on_out_of_range_opinion():
     assert not any(d.severity == "error" for d in diags)  # warning does not invalidate
 
 
+@pytest.mark.parametrize("edges, k, agents", [
+    ({(0, 1): 1.5e308, (0, 2): 1.5e308}, [0.0, 0.1, 0.2], [1]),
+    ({(1, 0): 1e308, (2, 0): 1.7e308}, [0.0, 1e308, 0.5], [2]),
+    ({(0, 1): 1.7e308, (2, 1): 1.7e308}, [0.2e308, 0.0, 0.2e308], [1, 3]),
+])
+def test_validate_names_each_agent_whose_diagonal_overflows(edges, k, agents):
+    # every weight and every k is finite, but q_i = sum_j w_ij + k_i is not;
+    # validate says so without an overflow warning, and W is never built
+    net = InfluenceNetwork(n=3, edges=edges, k=k, x0=[0.1, 0.5, 0.9], T=1.0)
+    assert [d.message for d in validate(net)] == [
+        f"agent {i}: in-weights plus k sum beyond the float64 range" for i in agents]
+    with pytest.raises(ValueError, match=f"agent {agents[0]}: in-weights plus k"):
+        net.W
+
+
+def test_validate_passes_a_diagonal_at_the_top_of_the_float_range():
+    big = np.finfo(float).max / 2
+    net = InfluenceNetwork(n=3, edges={(0, 1): big, (0, 2): big}, k=[0.0, 0.0, 0.0],
+                           x0=[0.1, 0.5, 0.9], T=1.0)
+    assert validate(net) == []
+    assert net.W[0, 0] == np.finfo(float).max
+
+
 def test_build_matrices_rejects_invalid():
     net = InfluenceNetwork(n=2, edges={(0, 0): 1.0}, k=[0, 0], x0=[0, 0], T=1.0)
     with pytest.raises(ValueError, match="self-edge"):
