@@ -1,8 +1,8 @@
 """Command-line front end: scenario I/O, named presets, solver and verifier
 orchestration, CSV trajectories and gnuplot scripts.
 
-Exit codes: 0 success, 1 verification failed, 2 input error, 3 solver error,
-4 unsupported operation.
+Exit codes: 0 success, 1 verification failed, 2 input error (running out of
+memory included), 3 solver error, 4 unsupported operation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -204,28 +205,187 @@ def _resolve_network(args) -> InfluenceNetwork:
     raise CliInputError("need --scenario PATH or --preset NAME")
 
 
-def write_trajectory_csv(path, traj: EquilibriumTrajectory, costate=False):
-    """t,x1,...,xn rows at 17 significant digits; optional p columns.
+# cells per block of write_trajectory_csv; bounds the formatter's memory
+_CSV_BLOCK = 1 << 13
+# |v| in [_FAST_MIN, _FAST_MAX) keeps every product and Dekker split of
+# _format_cells in the normal range: 10^(16-d) <= 1e298, its low part >= 1e-282
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# the decimal exponents d of that range, with one to spare either side
+_D_LO, _D_HI = -282, 282
+# distance from a rounding tie, in units of the 17th digit, below which a
+# cell falls back to '%.17g' (the error bound is derived in _format_cells)
+_TIE_MARGIN = 1e-6
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for doubles
 
-    Rows go out in blocks of about 2^12 values, each block formatted by one
-    % with the row format repeated once per row; larger blocks write no
-    faster and hold more memory."""
+
+def _word(text, at=0):
+    """text placed at byte `at` of a little-endian 64-bit word."""
+    return int.from_bytes(text, "little") << 8 * at
+
+
+@functools.cache
+def _format_tables():
+    """The lookups of _format_cells, built on first use.
+
+    Per decimal exponent d in [_D_LO, _D_HI], at row d - _D_LO: hi =
+    fl(10^(16-d)), its Dekker halves hi_hi and hi_lo, and lo = fl(10^(16-d)
+    - hi) from exact integer arithmetic, so hi + lo is within 2^-106 of
+    10^(16-d); and, for d as the exponent after rounding, the "0.000"
+    `prefix` word, the digit the `point` follows and the `exp` word.  Per
+    4-digit group g: `digits`[g], the word of its ASCII digits at the even
+    bytes, and `last`[t, g], the index of its last nonzero digit as group t
+    after the leading digit (0 for none).  `keep`[t, j]: the bytes of digits
+    1..j in word t.  `first`[10 sign + leading digit]: the first word."""
+    hi, lo, prefix, point, exp = [], [], [], [], []
+    for d in range(_D_LO, _D_HI + 1):
+        k = 16 - d
+        if k >= 0:
+            p = 10 ** k
+            h = float(p)
+            rest = float(p - int(h))
+        else:
+            q = 10 ** -k
+            h = 1 / q
+            num, den = h.as_integer_ratio()
+            rest = (den - num * q) / (den * q)
+        hi.append(h)
+        lo.append(rest)
+        fixed = -4 <= d < 17
+        prefix.append(_word(b"0.000"[:1 - d], 1) if fixed and d < 0 else 0)
+        point.append(d if fixed else 0)
+        exp.append(0 if fixed else _word(b"e%+03d" % d))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    # a group is two pairs of digits: g = 100 high + low
+    pair = np.arange(100)
+    pair_word = (48 + pair // 10) | (48 + pair % 10) << 16
+    digits = (pair_word[:, None] | pair_word << 32).astype(np.uint64).ravel()
+    pair_last = np.where(pair % 10 > 0, 2, np.where(pair > 0, 1, 0))
+    last = np.where(pair > 0, 2 + pair_last, pair_last[:, None]).ravel()
+    last = np.where(last > 0, last + np.arange(0, 16, 4)[:, None], 0)
+    kept = np.arange(16) < np.arange(17)[:, None]
+    digit_bytes = np.array([0xFF << 16 * s for s in range(4)], np.uint64)
+    keep = (kept.reshape(17, 4, 4) * digit_bytes).sum(axis=2, dtype=np.uint64)
+    first = [_word(b"-" * sign) | _word(b"%d" % lead, 6)
+             for sign in (0, 1) for lead in range(10)]
+    return types.SimpleNamespace(
+        hi=hi, hi_hi=hi_hi, hi_lo=hi - hi_hi, lo=np.array(lo),
+        prefix=np.array(prefix, np.uint64), point=np.array(point),
+        exp=np.array(exp, np.uint64), digits=digits, last=last.astype(np.int8),
+        keep=np.ascontiguousarray(keep.T), first=np.array(first, np.uint64))
+
+
+def _scaled(a, d, tables):
+    """a 10^(16-d) as y + r: y = fl(a hi), and r is the rounding error of y
+    (Dekker's TwoProduct, exact) plus fl(a lo).  Also n = y + rint(r)."""
+    i = d - _D_LO
+    y = a * tables.hi[i]
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    h, l = tables.hi_hi[i], tables.hi_lo[i]
+    r = ((ah * h - y) + ah * l + al * h) + al * l + a * tables.lo[i]
+    return y, r, y.astype(np.int64) + np.rint(r).astype(np.int64)
+
+
+def _off_scale(y, r, n):
+    """-1 where y + r (rounded to n) is below 1e16, +1 where n > 1e17.
+
+    n == 1e17 counts as in scale: a value in [1e17 - 1/2, 1e17 + 1/2) also
+    rounds to 1e16 one scale up, which is what the carry writes.  Likewise a
+    value within the error bound of 1e16 gives the same digits at either
+    scale, so the sign test below 1e16 needs no margin."""
+    low = (n < 10**16) | ((n == 10**16) & ((y - 1e16) + r < 0))
+    return (n > 10**17).astype(np.intp) - low
+
+
+def _format_cells(v, ends):
+    """The bytes of '%.17g' % x for each x in v, each followed by a newline
+    where `ends` is set and by a comma elsewhere.
+
+    A cell fills a slot of six little-endian words: the sign, the "0.000"
+    prefix and the leading digit with its point; four words of 4 digits,
+    each digit followed by a point or a zero byte; the exponent and the
+    separator.  The bytes a cell does not use stay zero and are dropped."""
+    tables = _format_tables()
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    zero = a == 0
+    a = np.where(fast, a, 1.0)          # zero and slow cells are redone below
+    d = np.floor(np.log10(a)).astype(np.intp)
+    y, r, n = _scaled(a, d, tables)
+    # log10 can miss by one next to a power of ten: move those cells a scale
+    off = _off_scale(y, r, n)
+    moved = np.flatnonzero(off)
+    slow = ~(fast | zero)
+    if moved.size:
+        d[moved] += off[moved]
+        y[moved], r[moved], n[moved] = _scaled(a[moved], d[moved], tables)
+        slow[moved] |= _off_scale(y[moved], r[moved], n[moved]) != 0
+    # Error bound, in units of the 17th digit.  Once a 10^(16-d) <= 1.1e17,
+    # y + r is within 5.1e-15 of it: the TwoProduct part of r is exact;
+    # hi + lo is within 2^-106 of 10^(16-d), which moves the product by at
+    # most 2^-106 * 1.1e17 < 1.4e-15; fl(a lo) is off by at most
+    # 2^-53 |a lo| <= 2^-106 * 1.1e17 < 1.4e-15; and the last sum in r by
+    # 2^-53 (8 + 12.3) < 2.3e-15, as TwoProduct's error is at most
+    # ulp(y) / 2 = 8.  So rint(r) rounds the exact value as '%.17g' does
+    # unless r lies within _TIE_MARGIN (1e-6, far above 5.1e-15) of a tie;
+    # such cells fall back.
+    slow |= np.abs(np.abs(r - np.rint(r)) - 0.5) < _TIE_MARGIN
+    carry = n == 10**17
+    n[carry] = 10**16
+    n[zero] = 0
+    x = d + carry - _D_LO               # row of the exponent after rounding
+    high = n // 10**8
+    lead = high // 10**8
+    groups = []
+    for eight in (high - lead * 10**8, n - high * 10**8):
+        four = eight // 10**4
+        groups += [four, eight - four * 10**4]
+    slot = np.empty((len(v), 6), "<u8")
+    slot[:, 0] = tables.prefix[x] | tables.first[np.signbit(v) * 10 + lead]
+    last = np.zeros(len(v), np.int8)
+    for t, group in enumerate(groups):
+        slot[:, 1 + t] = tables.digits[group]
+        np.maximum(last, tables.last[t][group], out=last)
+    point = tables.point[x]             # the point follows digit `point`
+    keep = np.maximum(last, point)
+    for t in range(4):
+        slot[:, 1 + t] &= tables.keep[t][keep]
+    slot[:, 5] = tables.exp[x] | np.where(ends, np.uint64(_word(b"\n", 5)),
+                                          np.uint64(_word(b",", 5)))
+    flat = slot.view(np.uint8).ravel()
+    dot = np.flatnonzero((last > point) & (point >= 0))
+    flat[48 * dot + 7 + 2 * point[dot]] = ord(".")
+    for i in np.flatnonzero(slow):
+        text = b"%.17g" % v[i]
+        flat[48 * i:48 * i + 45] = 0
+        flat[48 * i:48 * i + len(text)] = np.frombuffer(text, np.uint8)
+    return flat.tobytes().translate(None, b"\0")
+
+
+def write_trajectory_csv(path, traj: EquilibriumTrajectory, costate=False):
+    """t,x1,...,xn rows, with p1,...,pn appended when `costate` is set.
+
+    Every value is written exactly as '%.17g' % v writes it.  Blocks of
+    _CSV_BLOCK cells go through one vectorized formatter; only the cells it
+    cannot decide call '%.17g' one at a time: infinities and NaN, magnitudes
+    outside [1e-280, 1e280), and values within 1e-6 units of the 17th digit
+    of a rounding tie."""
     n = traj.n
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
     table = [traj.grid[:, None], traj.x]
     if costate:
         header += [f"p{i + 1}" for i in range(n)]
         table.append(traj.p)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = max(1, 2**12 // len(header))
-    block = row * rows
-    values = np.hstack(table)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(values), rows):
-            chunk = values[start:start + rows]
-            fmt = block if len(chunk) == rows else row * len(chunk)
-            fh.write(fmt % tuple(chunk.ravel().tolist()))
+    values = np.hstack(table).ravel()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(values), _CSV_BLOCK):
+            cells = values[start:start + _CSV_BLOCK]
+            ends = np.arange(start + 1, start + 1 + len(cells)) % len(header) == 0
+            fh.write(_format_cells(cells, ends))
 
 
 def _gnuplot_script(csv_name, n, title):
@@ -466,6 +626,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError:
+        print("error: not enough memory for this run; try a smaller --samples",
+              file=sys.stderr)
+        return EXIT_INPUT
     except OSError as exc:
         # scenario reads raise CliInputError, so this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)

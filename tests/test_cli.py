@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import opiniongame
 import opiniongame.analytic as analytic_module
@@ -175,8 +177,10 @@ def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 import opiniongame
 assert not scipy_loaded(), "import opiniongame"
-from opiniongame.cli import main
+from opiniongame.cli import _format_tables, main
 assert not scipy_loaded(), "import opiniongame.cli"
+assert "fractions" not in sys.modules
+assert _format_tables.cache_info().currsize == 0, "CSV tables built at import"
 assert main(["limits", "--preset", "fig1b"]) == 0
 assert not scipy_loaded(), "limits"
 assert main(["simulate", "--preset", "fig2b", "--out", {out!r}]) == 0
@@ -356,6 +360,68 @@ def test_csv_writer_special_values(tmp_path, costate):
     assert_same_csv_bytes(tmp_path, traj, costate)
     row = (tmp_path / "new.csv").read_text().splitlines()[1]
     assert row.startswith("0,-0,1e-300,1.0000000000000001e+300")
+
+
+def table_trajectory(values, cols):
+    """A trajectory whose CSV cells cycle through `values` row by row: t
+    alone (cols = 1), t,x1..x10 (11) or t,x1..x10,p1..p10 (21).  Its row
+    count leaves a short last formatting block."""
+    block = cli_module._CSV_BLOCK
+    rows = max(-(-len(values) // cols), block // cols + 1)
+    rows += rows * cols % block == 0
+    table = np.resize(np.asarray(values, dtype=float), (rows, cols))
+    n = (cols - 1) // (2 if cols == 21 else 1)
+    return EquilibriumTrajectory(grid=table[:, 0], x=table[:, 1:1 + n],
+                                 p=table[:, 1 + n:], u=-table[:, 1 + n:])
+
+
+def adversarial_values():
+    """Powers of ten and their neighbours, exact decimal ties at the 17th
+    digit, values that round across a power of ten, and %g's switch points."""
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    values = powers + [np.nextafter(p, 0.0) for p in powers] + [
+        np.nextafter(p, np.inf) for p in powers]
+    values += list(1.0 + np.arange(1, 2**17, 2) * 2.0**-17)
+    values += [101 * 2.0**-22, 9.99999999999999999e-5, 99999999999999999.0,
+               1e-4, 1e-5, 1e16, 1e17]
+    return np.concatenate([values, np.negative(values)])
+
+
+@pytest.mark.parametrize("cols", [1, 11, 21])
+def test_csv_writer_exact_on_adversarial_values(tmp_path, cols):
+    traj = table_trajectory(adversarial_values(), cols)
+    assert_same_csv_bytes(tmp_path, traj, costate=cols == 21)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(allow_subnormal=True) | st.sampled_from(
+           [0.0, -0.0, np.inf, -np.inf, np.nan]), min_size=1, max_size=64),
+       cols=st.sampled_from([1, 11, 21]))
+def test_csv_writer_exact_property(tmp_path, values, cols):
+    assert_same_csv_bytes(tmp_path, table_trajectory(values, cols), costate=cols == 21)
+
+
+def test_simulate_costate_matches_golden(tmp_path):
+    # fig1b takes the exact complete-uniform basis, so these bytes do not
+    # depend on the eig route
+    assert main(["simulate", "--preset", "fig1b", "--samples", "21", "--costate",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert ((tmp_path / "fig1b.csv").read_bytes()
+            == (GOLDEN / "simulate-fig1b-costate.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", [["simulate", "--preset", "fig1b"],
+                                     ["verify", "--preset", "fig1b"],
+                                     ["figures", "--which", "fig1b"]])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    def exhausted(net, m):
+        raise MemoryError("cannot allocate the grid")
+    monkeypatch.setattr(cli_module, "solve_equilibrium", exhausted)
+    monkeypatch.chdir(tmp_path)  # the default --out
+    assert main(command + ["--samples", "999999999"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory") and "--samples" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
