@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import InfluenceNetwork
-from .solver import BOUNDARY_TOL, EquilibriumTrajectory
+from .solver import _BLOCK, BOUNDARY_TOL, EquilibriumTrajectory
 
 # best_response fails above this gradient norm relative to max(1, |b|).
 _GRAD_TOL = 1e-10
@@ -122,16 +122,17 @@ def cumulative_trapezoid_matrix(m: int, h: float) -> np.ndarray:
 
 def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> list[CostBreakdown]:
     """Composite-Simpson quadrature of every agent's three cost terms, in
-    agent order.  One pass over the edges adds each term to its source's row
-    in edge order, as if that agent were costed alone."""
+    agent order.  One pass over the edges adds each influence term to its
+    source's row in edge order, as if that agent were costed alone; the
+    stubbornness and control rows are formed one agent at a time."""
     s = simpson_weights(len(traj.grid), _grid_step(traj.grid))
     x = np.ascontiguousarray(traj.x.T)
-    terms = np.zeros((3,) + x.shape)  # influence, stubbornness, control rows
+    influence = np.zeros(x.shape)
     for (a, j), w in net.edges.items():
-        terms[0, a] += w * (x[a] - x[j]) ** 2
-    terms[1] = net.k[:, None] * (x - net.x0[:, None]) ** 2
-    terms[2] = traj.u.T ** 2
-    return [CostBreakdown(a, *(0.5 * float(s @ row) for row in terms[:, a]))
+        influence[a] += w * (x[a] - x[j]) ** 2
+    return [CostBreakdown(a, 0.5 * float(s @ influence[a]),
+                          0.5 * float(s @ (net.k[a] * (x[a] - net.x0[a]) ** 2)),
+                          0.5 * float(s @ traj.u[:, a] ** 2))
             for a in range(traj.n)]
 
 
@@ -340,20 +341,40 @@ def stationarity_check(net: InfluenceNetwork,
     The costate equation is checked with central differences; its tolerance
     is the truncation bound (h^2/6) max |p'''| with p''' = W(K x0 - W x)
     evaluated along the trajectory, padded by a small safety factor.
+
+    Every residual is a maximum over the grid, so the grid is walked in row
+    blocks of the spectral route's _BLOCK entries.  Each block forms its own
+    dp/dt and p''', folds their column maxima into length-n accumulators
+    and takes p on the rows either side of it from the trajectory, so the
+    differences at block seams are exact.  Working memory is O(_BLOCK)
+    entries, not O(m n).
     """
     h = _grid_step(traj.grid)
     x, p, u = traj.x, traj.p, traj.u
-    # dp/dt = -W x + K x0; third derivative of p is W (dp/dt).  Two m x n
-    # arrays at most: pdot and one work array, reused in place
-    pdot = x @ net.W.T
-    np.subtract(net.k * net.x0, pdot, out=pdot)
-    work = pdot @ net.W.T
-    costate_tol = 2.0 * (h * h / 6.0) * np.max(np.abs(work, out=work), axis=0) + 1e-9
-    dp = np.subtract(p[2:], p[:-2], out=work[2:])
-    dp /= 2.0 * h
-    dp -= pdot[1:-1]
-    costate_resid = np.max(np.abs(dp, out=dp), axis=0)
-    control_resid = np.max(np.abs(np.add(u, p, out=work), out=work), axis=0)
+    m, n = x.shape
+    WT, kx0 = net.W.T, net.k * net.x0
+    third, costate_resid, control_resid = np.zeros(n), np.zeros(n), np.zeros(n)
+    rows = max(1, _BLOCK // n)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        # dp/dt = -W x + K x0; third derivative of p is W (dp/dt).  Two
+        # block arrays: pdot and one work array, reused in place
+        pdot = x[start:stop] @ WT
+        np.subtract(kx0, pdot, out=pdot)
+        work = pdot @ WT
+        np.maximum(third, np.max(np.abs(work, out=work), axis=0), out=third)
+        lo, hi = max(start, 1), min(stop, m - 1)  # the block's interior rows
+        if lo < hi:
+            dp = np.subtract(p[lo + 1:hi + 1], p[lo - 1:hi - 1],
+                             out=work[lo - start:hi - start])
+            dp /= 2.0 * h
+            dp -= pdot[lo - start:hi - start]
+            np.maximum(costate_resid, np.max(np.abs(dp, out=dp), axis=0),
+                       out=costate_resid)
+        control = np.add(u[start:stop], p[start:stop], out=work)
+        np.maximum(control_resid, np.max(np.abs(control, out=control), axis=0),
+                   out=control_resid)
+    costate_tol = 2.0 * (h * h / 6.0) * third + 1e-9
     return [StationarityReport(
         agent=i,
         control_residual=float(control_resid[i]),

@@ -44,6 +44,17 @@ def random_net(rng, n=None, T=None, edge_prob=0.5, w_max=3.0, k_max=1.0):
     )
 
 
+def symmetric_net(rng, n, T, p=0.5, w_max=2.0):
+    """Random undirected net: W is symmetric, so the spectral route takes it
+    through eigh."""
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    w = np.triu(rng.uniform(0.0, w_max, (n, n)), 1)
+    edges = {(int(i), int(j)): float(w[min(i, j), max(i, j)])
+             for i, j in zip(*np.nonzero(upper | upper.T))}
+    return InfluenceNetwork(n=n, edges=edges, k=rng.uniform(0.0, 1.0, n),
+                            x0=rng.uniform(0.0, 1.0, n), T=float(T))
+
+
 @contextlib.contextmanager
 def general_route():
     """Inside the block, solve_equilibrium takes the general route on every

@@ -333,11 +333,13 @@ def test_csv_writer_matches_per_value_reference(tmp_path, name, costate):
     assert_same_csv_bytes(tmp_path, traj, costate)
 
 
-@pytest.mark.parametrize("m", [195, 372, 744, 8001])
+@pytest.mark.parametrize("m", [195, 372, 391, 744, 745, 8001])
 @pytest.mark.parametrize("costate", [False, True])
 def test_csv_writer_matches_reference_across_row_blocks(tmp_path, m, costate):
-    # a 2^12-value block holds 372 rows of fig3b's 11 columns and 195 rows
-    # of its 21: one short block, whole blocks only, and a short last block
+    # the writer formats flat blocks of 2^13 = 8192 cells, and fig3b's rows
+    # hold 11 cells (21 with costates): 195, 372 and 744 rows of 11 fit in
+    # one block (744 x 11 = 8184), 745 x 11 = 8195 and 391 x 21 = 8211 put
+    # the first block edge inside a row, and 8001 rows cross many edges
     traj = solve_equilibrium(PRESETS["fig3b"].network, m)
     assert_same_csv_bytes(tmp_path, traj, costate)
 

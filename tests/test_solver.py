@@ -13,7 +13,8 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_uniform_net, general_route, leader_net, random_net
+from conftest import (complete_uniform_net, general_route, leader_net, random_net,
+                      symmetric_net)
 from opiniongame import solver
 from opiniongame.analytic import leader_params, leader_trajectory
 from opiniongame.cli import PRESETS
@@ -353,15 +354,6 @@ def directed_net(rng, n, T, p=0.3, w_max=1.0):
     w[ring] = rng.uniform(w_max, 1.5 * w_max, n)
     edges = {(int(i), int(j)): float(w[i, j]) for i, j in zip(*np.nonzero(mask))}
     return InfluenceNetwork(n=n, edges=edges, k=rng.uniform(0.0, 0.5, n),
-                            x0=rng.uniform(0.0, 1.0, n), T=float(T))
-
-
-def symmetric_net(rng, n, T, p=0.5, w_max=2.0):
-    upper = np.triu(rng.random((n, n)) < p, 1)
-    w = np.triu(rng.uniform(0.0, w_max, (n, n)), 1)
-    edges = {(int(i), int(j)): float(w[min(i, j), max(i, j)])
-             for i, j in zip(*np.nonzero(upper | upper.T))}
-    return InfluenceNetwork(n=n, edges=edges, k=rng.uniform(0.0, 1.0, n),
                             x0=rng.uniform(0.0, 1.0, n), T=float(T))
 
 

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_net
+from conftest import random_net, symmetric_net
 import opiniongame.network as network_module
 import opiniongame.verify as verify_module
 from opiniongame.cli import EXIT_SOLVER, PRESETS, constant_candidate, main
 from opiniongame.network import InfluenceNetwork
-from opiniongame.solver import BOUNDARY_TOL, solve_equilibrium
-from opiniongame.verify import (_deviation_probes, _Transcription, best_response,
+from opiniongame.solver import BOUNDARY_TOL, EquilibriumTrajectory, solve_equilibrium
+from opiniongame.verify import (CostBreakdown, StationarityReport, _deviation_probes,
+                                _Transcription, best_response,
                                 cumulative_trapezoid_matrix, deviation_test,
                                 evaluate_cost, nash_residual, quadratic_cost,
                                 simpson_weights, stationarity_check)
@@ -178,6 +179,43 @@ def test_all_agent_costs_match_per_agent_reference_exactly(case, m):
     for i, c in enumerate(costs):
         terms = (c.influence_term, c.stubbornness_term, c.control_term)
         assert terms == per_agent_cost(net, traj, i)
+
+
+def three_term_cost(net, traj):
+    """Reference: the three cost rows of every agent as one 3 x n x m array."""
+    s = simpson_weights(len(traj.grid), traj.grid[1] - traj.grid[0])
+    x = np.ascontiguousarray(traj.x.T)
+    terms = np.zeros((3,) + x.shape)
+    for (a, j), w in net.edges.items():
+        terms[0, a] += w * (x[a] - x[j]) ** 2
+    terms[1] = net.k[:, None] * (x - net.x0[:, None]) ** 2
+    terms[2] = traj.u.T ** 2
+    return [CostBreakdown(a, *(0.5 * float(s @ row) for row in terms[:, a]))
+            for a in range(traj.n)]
+
+
+@pytest.mark.parametrize("case", sorted(PRESETS) + ["directed"])
+@pytest.mark.parametrize("m", [201, 2001])
+def test_costs_match_three_term_reference_exactly(case, m):
+    net = (random_net(np.random.default_rng(23), n=12, T=2.0) if case == "directed"
+           else PRESETS[case].network)
+    traj = solve_equilibrium(net, m)
+    assert evaluate_cost(net, traj) == three_term_cost(net, traj)
+
+
+def test_cost_holds_one_influence_array(fig1b_net):
+    m = 2001
+    traj = solve_equilibrium(fig1b_net, m)
+    evaluate_cost(fig1b_net, traj)  # first-use allocations
+    tracemalloc.start()
+    try:
+        evaluate_cost(fig1b_net, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # x' and the influence rows, about 2.3 m x n arrays; the 3 x n x m
+    # array of every term peaked at 6.5
+    assert peak <= 3 * m * fig1b_net.n * 8
 
 
 def test_leader_cost_is_zero(fig2b_net):
@@ -446,6 +484,98 @@ def test_stationarity_trivial_for_single_agent():
     rep = stationarity_check(net, traj)[0]
     assert rep.passed
     assert rep.costate_residual <= 1e-12
+
+
+def two_array_stationarity(net, traj):
+    """Reference: the whole-grid check, with dp/dt and p''' as m x n arrays."""
+    h = traj.grid[1] - traj.grid[0]
+    x, p, u = traj.x, traj.p, traj.u
+    pdot = x @ net.W.T
+    np.subtract(net.k * net.x0, pdot, out=pdot)
+    work = pdot @ net.W.T
+    costate_tol = 2.0 * (h * h / 6.0) * np.max(np.abs(work, out=work), axis=0) + 1e-9
+    dp = np.subtract(p[2:], p[:-2], out=work[2:])
+    dp /= 2.0 * h
+    dp -= pdot[1:-1]
+    costate_resid = np.max(np.abs(dp, out=dp), axis=0)
+    control_resid = np.max(np.abs(np.add(u, p, out=work), out=work), axis=0)
+    return [StationarityReport(
+        agent=i,
+        control_residual=float(control_resid[i]),
+        costate_residual=float(costate_resid[i]),
+        costate_tol=float(costate_tol[i]),
+        initial_residual=float(abs(x[0, i] - net.x0[i])),
+        transversality_residual=float(abs(p[-1, i])),
+    ) for i in range(traj.n)]
+
+
+# (net, m, rows in the last block); a block holds 2^15 // n grid rows, 3276
+# at n = 10
+BLOCK_CASES = {
+    "one block": (lambda: PRESETS["fig1b"].network, 201, 201),
+    "last block 1 row": (lambda: PRESETS["fig3b"].network, 2 * 3276 + 1, 1),
+    "last block 2 rows": (lambda: PRESETS["fig2b"].network, 2 * 3276 + 2, 2),
+    "n = 1": (lambda: InfluenceNetwork(n=1, edges={}, k=[0.5], x0=[0.3], T=2.0),
+              32768 + 2, 2),
+    "n = 200": (lambda: symmetric_net(np.random.default_rng(5), 200, 5.0), 8001, 14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocked_stationarity_matches_two_array_formula(case):
+    make_net, m, last = BLOCK_CASES[case]
+    net = make_net()
+    rows = verify_module._BLOCK // net.n
+    assert (m - 1) % rows + 1 == last
+    traj = solve_equilibrium(net, m)
+    assert stationarity_check(net, traj) == two_array_stationarity(net, traj)
+
+
+@pytest.mark.parametrize("side", ["last row of a block", "first row of the next"])
+def test_blocked_stationarity_checks_both_rows_at_a_seam(side):
+    # a shift of x on one row moves dp/dt on that row alone, so the costate
+    # residual peaks exactly there
+    net = PRESETS["fig1b"].network
+    rows = verify_module._BLOCK // net.n
+    traj = solve_equilibrium(net, 2 * rows + 1)
+    x = traj.x.copy()
+    x[rows - 1 if side.startswith("last") else rows] += 1.0
+    moved = replace(traj, x=x)
+    reports = stationarity_check(net, moved)
+    assert reports == two_array_stationarity(net, moved)
+    assert not any(r.passed for r in reports)
+
+
+def test_blocked_stationarity_within_rounding_on_any_trajectory():
+    # Off the equilibrium the maxima fall anywhere, also on rows where BLAS
+    # rounds a block's product differently from the whole grid's: with
+    # OpenBLAS 0.3.31's Haswell kernels, two agents' costate_tol here move by
+    # an ulp.  Every residual agrees to rounding.
+    rng = np.random.default_rng(1)
+    n, m = 199, 2001
+    net = random_net(rng, n=n, T=2.0)
+    x, p, u = rng.standard_normal((3, m, n))
+    traj = EquilibriumTrajectory(grid=np.linspace(0.0, 2.0, m), x=x, p=p, u=u)
+    got, want = stationarity_check(net, traj), two_array_stationarity(net, traj)
+    for field in ("control_residual", "costate_residual", "costate_tol",
+                  "initial_residual", "transversality_residual"):
+        np.testing.assert_allclose([getattr(r, field) for r in got],
+                                   [getattr(r, field) for r in want], rtol=1e-14, atol=0)
+
+
+def test_stationarity_holds_no_grid_sized_array():
+    net = symmetric_net(np.random.default_rng(5), 200, 5.0)
+    traj = solve_equilibrium(net, 8001)
+    stationarity_check(net, traj)  # first-use allocations
+    tracemalloc.start()
+    try:
+        stationarity_check(net, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two block arrays of 2^15 entries; dp/dt and p''' over the whole grid
+    # took 25.6 MB here
+    assert peak < 3_000_000
 
 
 def test_deviation_probes_pass_on_equilibrium(fig1b_net):
