@@ -151,10 +151,10 @@ def _build_presets():
 PRESETS = _build_presets()
 PRESET_ALIASES = {"fig1": "fig1b", "fig1_weak": "fig1c",
                   "fig2": "fig2b", "fig2_weak": "fig2c", "fig3": "fig3b"}
-FIGURE_NAMES = ["fig1b", "fig1c", "fig2b", "fig2c", "fig3b", "fig3c"]
+FIGURE_NAMES = list(PRESETS)
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     pass
 
 
@@ -289,17 +289,6 @@ def _scaled(a, d, tables):
     return y, r, y.astype(np.int64) + np.rint(r).astype(np.int64)
 
 
-def _off_scale(y, r, n):
-    """-1 where y + r (rounded to n) is below 1e16, +1 where n > 1e17.
-
-    n == 1e17 counts as in scale: a value in [1e17 - 1/2, 1e17 + 1/2) also
-    rounds to 1e16 one scale up, which is what the carry writes.  Likewise a
-    value within the error bound of 1e16 gives the same digits at either
-    scale, so the sign test below 1e16 needs no margin."""
-    low = (n < 10**16) | ((n == 10**16) & ((y - 1e16) + r < 0))
-    return (n > 10**17).astype(np.intp) - low
-
-
 def _format_cells(v, ends):
     """The bytes of '%.17g' % x for each x in v, each followed by a newline
     where `ends` is set and by a comma elsewhere.
@@ -307,7 +296,9 @@ def _format_cells(v, ends):
     A cell fills a slot of six little-endian words: the sign, the "0.000"
     prefix and the leading digit with its point; four words of 4 digits,
     each digit followed by a point or a zero byte; the exponent and the
-    separator.  The bytes a cell does not use stay zero and are dropped."""
+    separator.  The bytes a cell does not use stay zero and are dropped.
+    One scaling by 10^(16-d), d = floor(log10 |x|), gives the 17 digits;
+    the cells it cannot decide are written by '%.17g' itself."""
     tables = _format_tables()
     a = np.abs(v)
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
@@ -315,28 +306,22 @@ def _format_cells(v, ends):
     a = np.where(fast, a, 1.0)          # zero and slow cells are redone below
     d = np.floor(np.log10(a)).astype(np.intp)
     y, r, n = _scaled(a, d, tables)
-    # log10 can miss by one next to a power of ten: move those cells a scale
-    off = _off_scale(y, r, n)
-    moved = np.flatnonzero(off)
-    slow = ~(fast | zero)
-    if moved.size:
-        d[moved] += off[moved]
-        y[moved], r[moved], n[moved] = _scaled(a[moved], d[moved], tables)
-        slow[moved] |= _off_scale(y[moved], r[moved], n[moved]) != 0
-    # Error bound, in units of the 17th digit.  Once a 10^(16-d) <= 1.1e17,
-    # y + r is within 5.1e-15 of it: the TwoProduct part of r is exact;
-    # hi + lo is within 2^-106 of 10^(16-d), which moves the product by at
-    # most 2^-106 * 1.1e17 < 1.4e-15; fl(a lo) is off by at most
-    # 2^-53 |a lo| <= 2^-106 * 1.1e17 < 1.4e-15; and the last sum in r by
-    # 2^-53 (8 + 12.3) < 2.3e-15, as TwoProduct's error is at most
-    # ulp(y) / 2 = 8.  So rint(r) rounds the exact value as '%.17g' does
-    # unless r lies within _TIE_MARGIN (1e-6, far above 5.1e-15) of a tie;
-    # such cells fall back.
+    # a nonzero cell whose 17 digits n are not strictly inside (10^16,
+    # 10^17) falls back: log10 missed by one next to a power of ten, the
+    # rounding carried to 10^17, or the value rounds to a power of ten
+    slow = ~zero & (~fast | (n <= 10**16) | (n >= 10**17))
+    # Error bound, in units of the 17th digit.  A cell left has n < 10^17,
+    # so a 10^(16-d) <= 1.1e17 and y + r is within 5.1e-15 of it:
+    # the TwoProduct part of r is exact; hi + lo is within 2^-106 of
+    # 10^(16-d), which moves the product by at most 2^-106 * 1.1e17 <
+    # 1.4e-15; fl(a lo) is off by at most 2^-53 |a lo| <= 2^-106 * 1.1e17 <
+    # 1.4e-15; and the last sum in r by 2^-53 (8 + 12.3) < 2.3e-15, as
+    # TwoProduct's error is at most ulp(y) / 2 = 8.  So rint(r) rounds the
+    # exact value as '%.17g' does unless r lies within _TIE_MARGIN (1e-6,
+    # far above 5.1e-15) of a tie; such cells fall back.
     slow |= np.abs(np.abs(r - np.rint(r)) - 0.5) < _TIE_MARGIN
-    carry = n == 10**17
-    n[carry] = 10**16
-    n[zero] = 0
-    x = d + carry - _D_LO               # row of the exponent after rounding
+    n[slow | zero] = 0                  # keeps the digit lookups in range
+    x = d - _D_LO                       # row of the exponent
     high = n // 10**8
     lead = high // 10**8
     groups = []
@@ -371,8 +356,10 @@ def write_trajectory_csv(path, traj: EquilibriumTrajectory, costate=False):
     Every value is written exactly as '%.17g' % v writes it.  Blocks of
     _CSV_BLOCK cells go through one vectorized formatter; only the cells it
     cannot decide call '%.17g' one at a time: infinities and NaN, magnitudes
-    outside [1e-280, 1e280), and values within 1e-6 units of the 17th digit
-    of a rounding tie."""
+    outside [1e-280, 1e280), values whose 17 rounded digits are not strictly
+    inside (10^16, 10^17) after the one scaling (powers of ten and their
+    neighbours), and values within 1e-6 units of the 17th digit of a
+    rounding tie."""
     n = traj.n
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
     table = [traj.grid[:, None], traj.x]
@@ -617,9 +604,6 @@ def main(argv=None) -> int:
                 print(path)
             return EXIT_OK
         raise CliInputError(f"unknown command {args.command!r}")
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except UnsupportedTopology as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -634,7 +618,7 @@ def main(argv=None) -> int:
         # scenario reads raise CliInputError, so this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:           # CliInputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

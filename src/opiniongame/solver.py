@@ -195,15 +195,11 @@ def _complete_uniform_spectrum(family):
     n = family.n
     lam = np.full(n, family.k + n * family.w)
     lam[-1] = family.k
-    V = np.zeros((n, n))
-    for i in range(n - 1):
-        V[i, i] = 1.0
-        V[n - 1, i] = -1.0
-    V[:, n - 1] = 1.0
-    Vinv = np.zeros((n, n))
-    Vinv[: n - 1, : n - 1] = np.eye(n - 1)
-    Vinv[: n - 1, :] -= 1.0 / n
-    Vinv[n - 1, :] = 1.0 / n
+    V = np.eye(n)
+    V[-1] = -1.0
+    V[:, -1] = 1.0
+    Vinv = np.eye(n) - 1.0 / n
+    Vinv[-1] = 1.0 / n
     return SpectralData(lambdas=lam, V=V, Vinv=Vinv)
 
 

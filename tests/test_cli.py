@@ -333,6 +333,14 @@ def test_csv_writer_matches_per_value_reference(tmp_path, name, costate):
     assert_same_csv_bytes(tmp_path, traj, costate)
 
 
+def test_csv_writer_matches_reference_on_general_route(tmp_path):
+    # the directed scenario takes the general route; at 8001 samples with
+    # costates its 136,017 cells hold 1,165 in exponent notation
+    net = load_scenario(GOLDEN / "scenario-directed.json")
+    assert solver_module.spectral_data(net.W, classify_topology(net)) is None
+    assert_same_csv_bytes(tmp_path, solve_equilibrium(net, 8001), costate=True)
+
+
 @pytest.mark.parametrize("m", [195, 372, 391, 744, 745, 8001])
 @pytest.mark.parametrize("costate", [False, True])
 def test_csv_writer_matches_reference_across_row_blocks(tmp_path, m, costate):
@@ -393,6 +401,16 @@ def adversarial_values():
 def test_csv_writer_exact_on_adversarial_values(tmp_path, cols):
     traj = table_trajectory(adversarial_values(), cols)
     assert_same_csv_bytes(tmp_path, traj, costate=cols == 21)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_csv_writer_exact_when_log10_misses_by_one(tmp_path, monkeypatch, shift):
+    # a shifted log10 puts about half the cells one scale off either way,
+    # so their 17 digits land outside (10^16, 10^17) and fall back
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    traj = table_trajectory(adversarial_values(), 21)
+    assert_same_csv_bytes(tmp_path, traj, costate=True)
 
 
 @settings(max_examples=40, deadline=None,

@@ -245,14 +245,25 @@ def test_spectral_blocks_match_transition_blocks():
                 assert gap <= 1e-10 * scale, (net.name, name, t, gap)
 
 
-def test_spectral_data_complete_uniform_spectrum():
-    # modes: k + n w with multiplicity n-1, then k once
-    n, w, k = 6, 1.3, 0.4
+@pytest.mark.parametrize("n", [1, 2, 6, 200])
+def test_spectral_data_complete_uniform_spectrum(n):
+    # modes: k + n w with multiplicity n-1, then k once; the basis is
+    # e_i - e_n for i < n and the all-ones vector, and its exact inverse
+    w, k = 1.3, 0.4
     net = complete_uniform_net(n, w, k, np.linspace(0, 1, n), 2.0)
     W = build_matrices(net)
     sd = spectral_data(W, classify_topology(net))
     np.testing.assert_allclose(sd.lambdas[:-1], k + n * w)
     assert sd.lambdas[-1] == pytest.approx(k)
+    V = np.zeros((n, n))
+    V[:-1, :-1] = np.eye(n - 1)
+    V[-1, :-1] = -1.0
+    V[:, -1] = 1.0
+    Vinv = np.zeros((n, n))
+    Vinv[:-1, :-1] = np.eye(n - 1)
+    Vinv[:-1] -= 1.0 / n
+    Vinv[-1] = 1.0 / n
+    assert np.array_equal(sd.V, V) and np.array_equal(sd.Vinv, Vinv)
     assert np.max(np.abs(W @ sd.V - sd.V * sd.lambdas)) <= 1e-8 * np.linalg.norm(W)
     np.testing.assert_allclose(sd.Vinv @ sd.V, np.eye(n), atol=1e-12)
 
