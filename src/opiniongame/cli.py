@@ -433,8 +433,7 @@ def constant_candidate(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
     candidate unless the network is fully decoupled."""
     grid = np.linspace(0.0, net.T, m)
     x = np.tile(net.x0, (m, 1))
-    z = np.zeros_like(x)
-    return EquilibriumTrajectory(grid=grid, x=x, p=z, u=z.copy())
+    return EquilibriumTrajectory(grid=grid, x=x, p=np.zeros_like(x))
 
 
 def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,

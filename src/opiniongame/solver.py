@@ -144,9 +144,9 @@ class SpectralData:
     Vinv: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EquilibriumTrajectory:
-    """Sampled equilibrium: opinions x, costates p and controls u = -p.
+    """Sampled equilibrium: opinions x and costates p; u = -p is not stored.
 
     Rows index the time grid, columns the agents.  x[0] equals the initial
     opinions exactly and p[-1] vanishes up to the boundary tolerance.
@@ -155,7 +155,17 @@ class EquilibriumTrajectory:
     grid: np.ndarray
     x: np.ndarray
     p: np.ndarray
-    u: np.ndarray
+    # own_u, a candidate's own control u=..., or else a fresh -p on each read
+    u: np.ndarray = property(lambda t: -t.p if t.own_u is None else t.own_u)
+
+    def __init__(self, grid, x, p, u=None):
+        self.__dict__.update(grid=grid, x=x, p=p, own_u=u)
+
+    def u_rows(self, agents):
+        """u.T[agents] for an index array agents, a fresh C-contiguous copy;
+        a derived u = -p is negated in the copy, never formed whole."""
+        rows = np.ascontiguousarray((self.p if self.own_u is None else self.own_u).T[agents])
+        return np.negative(rows, out=rows) if self.own_u is None else rows
 
     @property
     def n(self):
@@ -345,9 +355,9 @@ def solve_equilibrium(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
 
     W alone picks the route: the spectral one wherever spectral_data finds
     a trustworthy real eigendecomposition, the general one otherwise.  The
-    returned trajectory carries x, the jointly propagated costate p, and
-    u = -p.  A trajectory that is not finite, or whose terminal costate
-    exceeds BOUNDARY_TOL, raises ArithmeticError instead of returning noise.
+    returned trajectory stores x and the jointly propagated costate p, and
+    derives u = -p.  A trajectory that is not finite, or whose terminal
+    costate exceeds BOUNDARY_TOL, raises ArithmeticError instead of noise.
     """
     if m < 2:
         raise ValueError("need at least two grid samples")
@@ -368,4 +378,4 @@ def solve_equilibrium(net: InfluenceNetwork, m: int) -> EquilibriumTrajectory:
         raise ArithmeticError(
             f"terminal costate residual {pT:.3e} exceeds {BOUNDARY_TOL:.3e}; "
             "the instance is too stiff for the selected route")
-    return EquilibriumTrajectory(grid=grid, x=x, p=p, u=-p)
+    return EquilibriumTrajectory(grid=grid, x=x, p=p)

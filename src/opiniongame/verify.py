@@ -73,7 +73,7 @@ class StationarityReport:
     """Residuals of the four first-order optimality conditions for one agent."""
 
     agent: int
-    control_residual: float      # max |u + p|
+    control_residual: float      # max |u + p|; 0 when u = -p is derived
     costate_residual: float      # central-difference dp/dt vs -dH/dx
     costate_tol: float           # the only tolerance that varies by agent
     initial_residual: float      # |x(0) - x0|
@@ -132,7 +132,7 @@ def evaluate_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> list[Co
         influence[a] += w * (x[a] - x[j]) ** 2
     return [CostBreakdown(a, 0.5 * float(s @ influence[a]),
                           0.5 * float(s @ (net.k[a] * (x[a] - net.x0[a]) ** 2)),
-                          0.5 * float(s @ traj.u[:, a] ** 2))
+                          0.5 * float(s @ traj.u_rows([a])[0] ** 2))
             for a in range(traj.n)]
 
 
@@ -150,7 +150,7 @@ def quadratic_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -
     G = np.array([net.edges.get((i, j), 0.0) for j in others] + [net.k[i]])
     xi = traj.x[:, i:i + 1]
     Z = np.hstack([xi - traj.x[:, others], xi - net.x0[i]])
-    return 0.5 * float(s @ (np.einsum("rk,k,rk->r", Z, G, Z) + traj.u[:, i] ** 2))
+    return 0.5 * float(s @ (np.einsum("rk,k,rk->r", Z, G, Z) + traj.u_rows([i])[0] ** 2))
 
 
 class _Transcription:
@@ -295,7 +295,7 @@ def _best_responses(net, traj, agents):
             "best-response solve did not reach stationarity for agent "
             f"{np.asarray(agents)[bad[0]] + 1}: gradient norm {gnorm[bad[0]]:.3e}")
     cost = model.cost(u)
-    gap = model.cost(np.ascontiguousarray(traj.u.T[agents])) - cost
+    gap = model.cost(traj.u_rows(agents)) - cost
     return model, u, cost, gap, gnorm
 
 
@@ -336,7 +336,7 @@ def stationarity_check(net: InfluenceNetwork,
                        traj: EquilibriumTrajectory) -> list[StationarityReport]:
     """First-order optimality residuals per agent.
 
-    |u + p| is held to _CONTROL_TOL and |p(T)| to the solver's BOUNDARY_TOL.
+    |u + p| is held to _CONTROL_TOL (own u only) and |p(T)| to BOUNDARY_TOL.
 
     The costate equation is checked with central differences; its tolerance
     is the truncation bound (h^2/6) max |p'''| with p''' = W(K x0 - W x)
@@ -350,7 +350,7 @@ def stationarity_check(net: InfluenceNetwork,
     entries, not O(m n).
     """
     h = _grid_step(traj.grid)
-    x, p, u = traj.x, traj.p, traj.u
+    x, p, u = traj.x, traj.p, traj.own_u
     m, n = x.shape
     WT, kx0 = net.W.T, net.k * net.x0
     third, costate_resid, control_resid = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -371,9 +371,10 @@ def stationarity_check(net: InfluenceNetwork,
             dp -= pdot[lo - start:hi - start]
             np.maximum(costate_resid, np.max(np.abs(dp, out=dp), axis=0),
                        out=costate_resid)
-        control = np.add(u[start:stop], p[start:stop], out=work)
-        np.maximum(control_resid, np.max(np.abs(control, out=control), axis=0),
-                   out=control_resid)
+        if u is not None:
+            control = np.add(u[start:stop], p[start:stop], out=work)
+            np.maximum(control_resid, np.max(np.abs(control, out=control), axis=0),
+                       out=control_resid)
     costate_tol = 2.0 * (h * h / 6.0) * third + 1e-9
     return [StationarityReport(
         agent=i,
@@ -418,7 +419,7 @@ def _deviation_probes(net, traj, agents, count, seeds):
     if count < 1:
         raise ValueError("count must be >= 1")
     model = _Transcription(net, traj, agents)
-    u_base = np.ascontiguousarray(traj.u.T[agents])
+    u_base = traj.u_rows(agents)
     phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
     basis = np.vstack([np.sin(phase), np.cos(phase)])
     basis_gradients = model.gradient(u_base) @ basis.T

@@ -387,13 +387,18 @@ def table_trajectory(values, cols):
 
 def adversarial_values():
     """Powers of ten and their neighbours, exact decimal ties at the 17th
-    digit, values that round across a power of ten, and %g's switch points."""
+    digit and values next to one, values that round across a power of ten,
+    and %g's switch points."""
     powers = [float(f"1e{k}") for k in range(-300, 301)]
     values = powers + [np.nextafter(p, 0.0) for p in powers] + [
         np.nextafter(p, np.inf) for p in powers]
     values += list(1.0 + np.arange(1, 2**17, 2) * 2.0**-17)
     values += [101 * 2.0**-22, 9.99999999999999999e-5, 99999999999999999.0,
                1e-4, 1e-5, 1e16, 1e17]
+    # within 81 2^-57 units of a 17th-digit tie, not on one: only the
+    # writer's tie margin sends them to '%.17g'
+    values += [6.83280278535067e-12, 6.83280278535067e-11, 1.2568395420297045e-10,
+               2.460469286850939e-10, 4.974148370910348e-10, 7.594247049386696e-10]
     return np.concatenate([values, np.negative(values)])
 
 

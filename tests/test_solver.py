@@ -721,9 +721,24 @@ def test_spectral_route_holds_no_per_mode_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # x, p and u = -p take 3 (8 m n) bytes; full-grid mode arrays Y and Q
-    # beside them would add 2 (8 m n) more
+    # x and p take 2 (8 m n) bytes; full-grid mode arrays Y and Q beside
+    # them would add 2 (8 m n) more
     assert peak < 3.5 * 8 * m * n
+
+
+def test_solve_stores_no_control():
+    # x and p take 2 (8 m n) bytes and u = -p is derived; storing u beside
+    # them peaked at 3.05 (8 m n)
+    n, m = 200, 8001
+    net = symmetric_net(np.random.default_rng(5), n, 5.0)
+    tracemalloc.start()
+    try:
+        traj = solve_equilibrium(net, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.own_u is None
+    assert peak <= 2.5 * 8 * m * n
 
 
 # ---------------------------------------------------------------------------

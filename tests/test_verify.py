@@ -4,6 +4,7 @@ and deviation probes."""
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import random_net, symmetric_net
 import opiniongame.network as network_module
 import opiniongame.verify as verify_module
-from opiniongame.cli import EXIT_SOLVER, PRESETS, constant_candidate, main
+from opiniongame.cli import (EXIT_SOLVER, PRESETS, RunReport, constant_candidate,
+                             load_scenario, main)
 from opiniongame.network import InfluenceNetwork
 from opiniongame.solver import BOUNDARY_TOL, EquilibriumTrajectory, solve_equilibrium
 from opiniongame.verify import (CostBreakdown, StationarityReport, _deviation_probes,
@@ -21,6 +23,8 @@ from opiniongame.verify import (CostBreakdown, StationarityReport, _deviation_pr
                                 cumulative_trapezoid_matrix, deviation_test,
                                 evaluate_cost, nash_residual, quadratic_cost,
                                 simpson_weights, stationarity_check)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def dense_energy_matrix(m, h):
@@ -476,6 +480,43 @@ def test_stationarity_flags_zeroed_costate(fig1b_net):
                                    u=np.zeros_like(traj.u))
     reports = stationarity_check(fig1b_net, broken)
     assert any(r.costate_residual > r.costate_tol for r in reports)
+
+
+def test_stationarity_flags_an_own_control_off_minus_p(fig1b_net):
+    traj = solve_equilibrium(fig1b_net, 201)
+    u = -traj.p
+    u[100, 3] += 1e-9
+    candidate = EquilibriumTrajectory(grid=traj.grid, x=traj.x, p=traj.p, u=u)
+    reports = stationarity_check(fig1b_net, candidate)
+    assert [r.agent for r in reports if not r.passed] == [3]
+    assert reports[3].control_residual > verify_module._CONTROL_TOL
+
+
+def verification(net, traj):
+    """Every result cmd_verify and cmd_simulate take from traj, and the
+    report text they print."""
+    report = RunReport(scenario=net.name, samples=len(traj.grid),
+                       costs=evaluate_cost(net, traj), residual=nash_residual(net, traj),
+                       stationarity=stationarity_check(net, traj),
+                       deviations=_deviation_probes(net, traj, np.arange(traj.n), 5,
+                                                    list(range(traj.n))),
+                       terminal=traj.x[-1].copy(), passed=True)
+    return (report.costs, report.residual, report.stationarity, report.deviations,
+            report.render())
+
+
+@pytest.mark.parametrize("make", [solve_equilibrium, constant_candidate],
+                         ids=["solver", "constant"])
+@pytest.mark.parametrize("case", sorted(PRESETS) + ["directed"])
+@pytest.mark.parametrize("m", [201, 2001])
+def test_derived_control_verifies_as_a_stored_one(make, case, m):
+    # the directed golden scenario takes the general route
+    net = (load_scenario(GOLDEN / "scenario-directed.json") if case == "directed"
+           else PRESETS[case].network)
+    traj = make(net, m)
+    assert traj.own_u is None
+    stored = EquilibriumTrajectory(grid=traj.grid, x=traj.x, p=traj.p, u=-traj.p)
+    assert verification(net, traj) == verification(net, stored)
 
 
 def test_stationarity_trivial_for_single_agent():
