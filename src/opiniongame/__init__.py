@@ -1,8 +1,7 @@
 """Open-loop Nash equilibrium solver and simulator for opinion games on
 influence networks."""
 
-from .analytic import (complete_limit, complete_pairwise_distance,
-                       complete_params, complete_trajectory,
+from .analytic import (complete_limit, complete_params, complete_trajectory,
                        epsilon_consensus_time, gamma, leader_distance,
                        leader_limit, leader_params, leader_trajectory)
 from .linalg import SingularMatrixError, exp_with_integral, solve_linear

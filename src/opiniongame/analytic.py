@@ -73,11 +73,6 @@ def complete_limit(p: CompleteUniform, x0) -> np.ndarray:
     return avg + (p.k / p.lambda1) * (x0 - avg)
 
 
-def complete_pairwise_distance(p: CompleteUniform, x0i, x0j, t) -> float:
-    """|x_i(t) - x_j(t)| = gamma(t) |x0_i - x0_j|; non-increasing in t."""
-    return float(gamma(p, t)) * abs(float(x0i) - float(x0j))
-
-
 def epsilon_consensus_time(p: CompleteUniform, x0, eps):
     """Earliest t with every opinion within eps of the initial average.
 

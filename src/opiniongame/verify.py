@@ -25,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import InfluenceNetwork
-from .solver import _BLOCK, BOUNDARY_TOL, EquilibriumTrajectory
+from .solver import _BLOCK, EquilibriumTrajectory
 
+# stationarity_check's bound on max |p(T)|.
+BOUNDARY_TOL = 1e-8
 # best_response fails above this gradient norm relative to max(1, |b|).
 _GRAD_TOL = 1e-10
 # stationarity_check's bound on max |u + p|.
@@ -350,7 +352,7 @@ def stationarity_check(net: InfluenceNetwork,
     entries, not O(m n).
     """
     h = _grid_step(traj.grid)
-    x, p, u = traj.x, traj.p, traj.own_u
+    x, p, u = traj.x, traj.p, traj.u
     m, n = x.shape
     WT, kx0 = net.W.T, net.k * net.x0
     third, costate_resid, control_resid = np.zeros(n), np.zeros(n), np.zeros(n)

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import X0_LADDER, complete_uniform_net, general_route, leader_net
 import opiniongame.analytic as analytic_module
-from opiniongame.analytic import (complete_limit, complete_pairwise_distance,
-                                  complete_params, complete_trajectory,
-                                  epsilon_consensus_time, gamma,
-                                  leader_consensus_time, leader_distance,
-                                  leader_limit, leader_params,
-                                  leader_trajectory)
+from opiniongame.analytic import (complete_limit, complete_params,
+                                  complete_trajectory, epsilon_consensus_time,
+                                  gamma, leader_consensus_time, leader_distance,
+                                  leader_limit, leader_params, leader_trajectory)
 from opiniongame.cli import PRESETS, closed_form_deviation
 from opiniongame.network import CompleteUniform, SingleLeader
 from opiniongame.solver import cosh_ratios, solve_equilibrium
@@ -124,20 +122,19 @@ def test_complete_limit_agrees_with_long_horizon_solver():
 
 
 def test_pairwise_distance():
-    assert complete_pairwise_distance(FIG1B, 0.4, 0.4, 1.0) == 0.0
-    assert complete_pairwise_distance(FIG1B, 0.1, 0.7, 0.0) == pytest.approx(0.6)
+    # the complete family's law |x_i(t) - x_j(t)| = gamma(t) |x0_i - x0_j|
+    assert float(gamma(FIG1B, 0.0)) == pytest.approx(1.0)
     traj = solve_equilibrium(
         complete_uniform_net(10, 2.0, 0.2, X0_LADDER, 5.0), 201)
     mid = 100
     measured = abs(traj.x[mid, 0] - traj.x[mid, 7])
-    predicted = complete_pairwise_distance(FIG1B, X0_LADDER[0], X0_LADDER[7],
-                                           traj.grid[mid])
+    predicted = float(gamma(FIG1B, traj.grid[mid])) * abs(X0_LADDER[0] - X0_LADDER[7])
     assert measured == pytest.approx(predicted, abs=1e-8)
 
 
 def test_pairwise_distance_non_increasing():
     ts = np.linspace(0, 5.0, 40)
-    vals = [complete_pairwise_distance(FIG1B, 0.05, 0.95, t) for t in ts]
+    vals = [float(gamma(FIG1B, t)) * abs(0.05 - 0.95) for t in ts]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 

@@ -4,6 +4,7 @@ data and the equilibrium trajectories."""
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +18,17 @@ from conftest import (complete_uniform_net, general_route, leader_net, random_ne
                       symmetric_net)
 from opiniongame import solver
 from opiniongame.analytic import leader_params, leader_trajectory
-from opiniongame.cli import PRESETS
+from opiniongame.cli import PRESETS, load_scenario
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (BOUNDARY_TOL, BlockTransition, assemble_system,
+from opiniongame.solver import (BlockTransition, assemble_system,
                                 cosh_ratios, kernel_cosh, kernel_coshm1, kernel_sinhc,
                                 solve_equilibrium, spectral_data,
                                 transition_blocks)
-from opiniongame.verify import stationarity_check
+from opiniongame.verify import BOUNDARY_TOL, stationarity_check
+
+GOLDEN = Path(__file__).parent / "golden"
+
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -333,13 +337,28 @@ def rescaled(net, alpha, T):
 
 
 @pytest.mark.parametrize("name", list(PRESETS))
-@pytest.mark.parametrize("alpha", [1e100, 1e160, 2.0 ** 500])
+@pytest.mark.parametrize("alpha", [1e50, 1e100, 1e160, 2.0 ** 500])
 def test_rescaled_game_keeps_its_trajectory(name, alpha):
     # weights and k times alpha over T / sqrt(alpha) is the same game in
-    # rescaled time, so every grid row keeps its opinions
+    # rescaled time, so every grid row keeps its opinions.  At 1e50 roundoff
+    # splits fig3b's six-fold eigenvalue into a complex pair, so it takes
+    # the general route
     net = PRESETS[name].network
-    x = solve_equilibrium(rescaled(net, alpha, net.T / math.sqrt(alpha)), 201).x
-    assert np.max(np.abs(x - solve_equilibrium(net, 201).x)) <= 1e-13
+    traj = solve_equilibrium(rescaled(net, alpha, net.T / math.sqrt(alpha)), 201)
+    assert np.all(traj.p[-1] == 0.0)
+    assert np.max(np.abs(traj.x - solve_equilibrium(net, 201).x)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig2c", "fig3b", "fig3c"])
+@pytest.mark.parametrize("alpha", [1e100, 2.0 ** 500, 1e160])
+def test_general_route_keeps_the_rescaled_trajectory(name, alpha):
+    # p grows with sqrt(alpha), and so does the roundoff of a computed p(T);
+    # the route imposes p(T) = 0 instead, as x(0) = x0
+    net = PRESETS[name].network
+    with general_route():
+        traj = solve_equilibrium(rescaled(net, alpha, net.T / math.sqrt(alpha)), 201)
+    assert np.all(traj.p[-1] == 0.0)
+    assert np.max(np.abs(traj.x - solve_equilibrium(net, 201).x)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", list(PRESETS))
@@ -737,7 +756,7 @@ def test_solve_stores_no_control():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traj.own_u is None
+    assert traj.u is None
     assert peak <= 2.5 * 8 * m * n
 
 
@@ -750,14 +769,18 @@ def test_zero_coupling_keeps_opinions_constant():
                            x0=[0.1, 0.4, 0.6, 0.9], T=2.0)
     traj = solve_equilibrium(net, 101)
     assert np.max(np.abs(traj.x - net.x0)) == 0.0
-    assert np.max(np.abs(traj.u)) == 0.0
+    assert np.max(np.abs(traj.p)) == 0.0
 
 
-def test_boundary_invariants(fig1b_net):
-    traj = solve_equilibrium(fig1b_net, 201)
-    assert np.array_equal(traj.x[0], fig1b_net.x0)
-    assert np.max(np.abs(traj.p[-1])) <= 1e-8
-    assert np.array_equal(traj.u, -traj.p)
+def test_boundary_invariants():
+    # x(0) = x0 and p(T) = 0 hold exactly on both routes; the directed
+    # golden scenario takes the general route
+    nets = [PRESETS[name].network for name in sorted(PRESETS)]
+    for net in nets + [load_scenario(GOLDEN / "scenario-directed.json")]:
+        traj = solve_equilibrium(net, 201)
+        assert np.array_equal(traj.x[0], net.x0)
+        assert np.all(traj.p[-1] == 0.0), net.name
+        assert traj.u is None
 
 
 def test_dynamics_residuals_second_order():

@@ -17,7 +17,7 @@ import opiniongame.verify as verify_module
 from opiniongame.cli import (EXIT_SOLVER, PRESETS, RunReport, constant_candidate,
                              load_scenario, main)
 from opiniongame.network import InfluenceNetwork
-from opiniongame.solver import BOUNDARY_TOL, EquilibriumTrajectory, solve_equilibrium
+from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
 from opiniongame.verify import (CostBreakdown, StationarityReport, _deviation_probes,
                                 _Transcription, best_response,
                                 cumulative_trapezoid_matrix, deviation_test,
@@ -154,7 +154,7 @@ def test_quadratic_cost_matches_row_loop(fig2b_net):
         for row in range(len(traj.grid)):
             z = np.append(traj.x[row, i] - traj.x[row, others],
                           traj.x[row, i] - net.x0[i])
-            total += s[row] * (z @ (G * z) + traj.u[row, i] ** 2)
+            total += s[row] * (z @ (G * z) + traj.p[row, i] ** 2)
         assert quadratic_cost(net, traj, i) == pytest.approx(0.5 * total, rel=1e-13)
 
 
@@ -167,7 +167,7 @@ def per_agent_cost(net, traj, i):
         if a == i:
             influence += w * (xi - traj.x[:, j]) ** 2
     stubborn = net.k[i] * (xi - net.x0[i]) ** 2
-    control = traj.u[:, i] ** 2
+    control = traj.p[:, i] ** 2
     return (0.5 * float(s @ influence), 0.5 * float(s @ stubborn),
             0.5 * float(s @ control))
 
@@ -193,7 +193,7 @@ def three_term_cost(net, traj):
     for (a, j), w in net.edges.items():
         terms[0, a] += w * (x[a] - x[j]) ** 2
     terms[1] = net.k[:, None] * (x - net.x0[:, None]) ** 2
-    terms[2] = traj.u.T ** 2
+    terms[2] = traj.p.T ** 2
     return [CostBreakdown(a, *(0.5 * float(s @ row) for row in terms[:, a]))
             for a in range(traj.n)]
 
@@ -307,7 +307,7 @@ def test_best_response_gradient_vanishes_quadratically(fig1b_net):
         traj = solve_equilibrium(fig1b_net, m)
         model = _Transcription(fig1b_net, traj, 0)
         h = traj.grid[1] - traj.grid[0]
-        return np.max(np.abs(model.gradient(traj.u[:, 0]))) / h
+        return np.max(np.abs(model.gradient(-traj.p[:, 0]))) / h
 
     g1, g2 = scaled_gradient(101), scaled_gradient(201)
     assert g1 / g2 >= 3.0
@@ -335,7 +335,7 @@ def test_best_response_control_error_converges_quadratically(fig1b_net):
         traj = solve_equilibrium(fig1b_net, m)
         errors.append(max(
             float(np.max(np.abs(best_response(fig1b_net, traj, i).control
-                                - traj.u[:, i])))
+                                + traj.p[:, i])))
             for i in range(fig1b_net.n)))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     assert all(3.0 <= r <= 5.0 for r in ratios), (
@@ -466,7 +466,7 @@ def test_stationarity_holds_each_residual_to_its_bound(fig2b_net):
         bounds = {"control_residual": verify_module._CONTROL_TOL,
                   "costate_residual": report.costate_tol,
                   "initial_residual": 0.0,
-                  "transversality_residual": BOUNDARY_TOL}
+                  "transversality_residual": verify_module.BOUNDARY_TOL}
         for field, bound in bounds.items():
             assert replace(report, **{field: bound}).passed
             assert not replace(report, **{field: np.nextafter(bound, np.inf)}).passed
@@ -477,7 +477,7 @@ def test_stationarity_flags_zeroed_costate(fig1b_net):
     traj = solve_equilibrium(fig1b_net, 201)
     broken = EquilibriumTrajectory(grid=traj.grid, x=traj.x,
                                    p=np.zeros_like(traj.p),
-                                   u=np.zeros_like(traj.u))
+                                   u=np.zeros_like(traj.p))
     reports = stationarity_check(fig1b_net, broken)
     assert any(r.costate_residual > r.costate_tol for r in reports)
 
@@ -514,9 +514,18 @@ def test_derived_control_verifies_as_a_stored_one(make, case, m):
     net = (load_scenario(GOLDEN / "scenario-directed.json") if case == "directed"
            else PRESETS[case].network)
     traj = make(net, m)
-    assert traj.own_u is None
+    assert traj.u is None
     stored = EquilibriumTrajectory(grid=traj.grid, x=traj.x, p=traj.p, u=-traj.p)
     assert verification(net, traj) == verification(net, stored)
+
+
+def test_replace_keeps_a_derived_control():
+    # a copy with new x still derives u = -p and stores no m x n control
+    net = load_scenario(GOLDEN / "scenario-directed.json")
+    traj = solve_equilibrium(net, 201)
+    moved = replace(traj, x=traj.x.copy())
+    assert moved.u is None
+    assert stationarity_check(net, moved) == stationarity_check(net, traj)
 
 
 def test_stationarity_trivial_for_single_agent():
@@ -530,7 +539,8 @@ def test_stationarity_trivial_for_single_agent():
 def two_array_stationarity(net, traj):
     """Reference: the whole-grid check, with dp/dt and p''' as m x n arrays."""
     h = traj.grid[1] - traj.grid[0]
-    x, p, u = traj.x, traj.p, traj.u
+    x, p = traj.x, traj.p
+    u = -p if traj.u is None else traj.u
     pdot = x @ net.W.T
     np.subtract(net.k * net.x0, pdot, out=pdot)
     work = pdot @ net.W.T
@@ -649,7 +659,7 @@ def sequential_deviation_test(net, traj, i, count, seed,
                               amplitudes=(1e-3, 1e-2, 1e-1), tol=1e-9):
     """One perturbation at a time, costed with the dense L and M."""
     model = _Transcription(net, traj, i)
-    u_base = traj.u[:, i]
+    u_base = -traj.p[:, i]
     base_cost = dense_cost(model, u_base)
     rng = np.random.default_rng(seed)
     tgrid = traj.grid / traj.T
@@ -687,7 +697,7 @@ def difference_deviation_test(net, traj, i, count, seed):
     """The batched difference form that the quadratic expansion replaced:
     each amplitude re-costs all perturbations as one count x m batch."""
     model = _Transcription(net, traj, i)
-    u_base = traj.u[:, i]
+    u_base = -traj.p[:, i]
     base_cost = model.cost(u_base[None])[0]
     coef = np.random.default_rng(seed).standard_normal((count, 2, 6))
     phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
@@ -715,7 +725,7 @@ def assert_matches_difference_form(net, traj, count, results=None):
         if ref_gain >= 1e-3:
             assert gain == pytest.approx(ref_gain, rel=1e-12, abs=0.0)
         else:
-            cost = float(_Transcription(net, traj, i).cost(traj.u[:, i]))
+            cost = float(_Transcription(net, traj, i).cost(-traj.p[:, i]))
             assert abs(gain - ref_gain) <= 1e-12 * max(1.0, abs(cost))
 
 
@@ -821,7 +831,7 @@ def test_batched_verifier_matches_per_agent_references(seed, n, half, lattice, c
     ratios, costs = [0.0], [1.0]
     for i in range(n):
         model = _Transcription(net, traj, i)
-        cost = dense_cost(model, traj.u[:, i])
+        cost = dense_cost(model, -traj.p[:, i])
         gap = cost - dense_cost(model, dense_best_response(net, traj, i))
         ratios.append(gap / max(1.0, cost))
         costs.append(abs(cost))
