@@ -23,8 +23,7 @@ from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
                       classify_topology, network_from_dict, network_to_dict,
                       validate)
 from .solver import EquilibriumTrajectory, solve_equilibrium
-from .verify import (_deviation_probes, evaluate_cost, nash_residual,
-                     stationarity_check)
+from .verify import _certificate, evaluate_cost, stationarity_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -451,11 +450,8 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
         traj = constant_candidate(net, m)
     else:
         traj = solve_equilibrium(net, m)
-    residual = nash_residual(net, traj)
+    residual, deviations = _certificate(net, traj, count, seed)
     reports = stationarity_check(net, traj)
-    # Python ints, so that no seed wraps or overflows at any size
-    deviations = _deviation_probes(net, traj, np.arange(traj.n), count,
-                                   [seed + a for a in range(traj.n)])
     passed = (residual <= residual_tol
               and all(r.passed for r in reports)
               and all(ok for ok, _ in deviations))

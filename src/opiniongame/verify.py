@@ -37,6 +37,10 @@ _CONTROL_TOL = 1e-12
 # largest cost reduction a probe may find.
 _AMPLITUDES = (1e-3, 1e-2, 1e-1)
 _DEVIATION_TOL = 1e-9
+# The certificate walks the agents in chunks of _CHUNK // m rows, so each of
+# its per-agent arrays holds about _CHUNK entries: every preset fits in one
+# chunk up to m = 26214, and an n = 200 net at m = 8001 takes seven.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,10 @@ def quadratic_cost(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int) -
 class _Transcription:
     """Quadratic model of the problems of the agents `agents`, rivals frozen.
 
-    agents is an agent index or an index array; every per-agent quantity is
-    then a scalar or a row per agent.  Agent i's objective is
+    agents is an agent index, an index array or a range; every per-agent
+    quantity is then a scalar or a row per agent.  rivals, if given, is
+    _rival_stack(traj.x), shared by the models of one certificate.  Agent
+    i's objective is
     J_i(u) = sum_j s_j [q_i x_j^2 / 2 - b_ij x_j + c_ij] + u' M u / 2 with
     x = x0_i + L u, b_i the frozen neighbor forcing and c_i the constant
     part, so J_i equals the agent's full cost, not just the variable piece.
@@ -171,7 +177,7 @@ class _Transcription:
     along the leading axis.
     """
 
-    def __init__(self, net, traj, agents):
+    def __init__(self, net, traj, agents, rivals=None):
         self.h = h = _grid_step(traj.grid)
         m = len(traj.grid)
         self.s = simpson_weights(m, h)
@@ -182,10 +188,13 @@ class _Transcription:
         self.x0i = net.x0[agents]
         w = (np.diag(q) - net.W)[agents]  # influence weights, zero on the agent itself
         kx0 = (net.k * net.x0)[agents]
-        # b and c from one product of the rivals' x and x^2 with the weights
-        forcing = w @ np.vstack([traj.x, np.square(traj.x)]).T
-        self.b = kx0[..., None] + forcing[..., :m]
-        self.c = 0.5 * ((kx0 * self.x0i)[..., None] + forcing[..., m:])
+        # b and c from one product of the rivals' x and x^2 with the weights,
+        # completed in place: they are the two halves of its rows
+        forcing = w @ (_rival_stack(traj.x) if rivals is None else rivals).T
+        self.b, self.c = forcing[..., :m], forcing[..., m:]
+        self.b += kx0[..., None]
+        self.c += (kx0 * self.x0i)[..., None]
+        self.c *= 0.5
 
     def integral(self, u):
         """L u: the running trapezoid integral, zero at the first node."""
@@ -209,11 +218,19 @@ class _Transcription:
 
     def cost(self, u):
         x = self.state(u)
-        q = self.q[..., None]
-        state_part = np.sum(self.s * (0.5 * q * x * x - self.b * x + self.c), axis=-1)
+        # s (q x^2 / 2 - b x + c), formed in place in two arrays
+        v = np.multiply(0.5 * self.q[..., None], x)
+        v *= x
+        v -= np.multiply(self.b, x, out=x)
+        v += self.c
+        v *= self.s
+        state_part = np.sum(v, axis=-1)
+        del x, v
         a, b = u[..., :-1], u[..., 1:]
-        energy = np.sum(a * a + a * b + b * b, axis=-1) * (self.h / 6.0)
-        return state_part + energy
+        energy = a * a
+        energy += a * b
+        energy += b * b
+        return state_part + np.sum(energy, axis=-1) * (self.h / 6.0)
 
     def gradient(self, u):
         v = self.state(u)  # overwritten in place by s (q x - b), then L' v + M u
@@ -225,6 +242,7 @@ class _Transcription:
         v[..., :-1] = tail
         v[..., -1] = 0.0
         v[..., 1:] += tail
+        del tail
         v *= 0.5 * self.h
         v += self.energy_times(u)
         return v
@@ -281,13 +299,37 @@ class _Transcription:
         return u
 
 
-def _best_responses(net, traj, agents):
-    """Best responses of the agents in the index array `agents`: the model,
-    the controls, the transcribed costs, the candidate's gaps over them and
-    the gradient norms, a row or an entry per agent.  A gradient norm above
-    _GRAD_TOL relative to max(1, |b_i|) raises ArithmeticError naming the
-    first such agent: the solve lost its accuracy."""
-    model = _Transcription(net, traj, agents)
+def _rival_stack(x):
+    """The rivals' x stacked over x^2, (2m, n): the right operand, transposed,
+    of every _Transcription's forcing product."""
+    m = len(x)
+    out = np.empty((2 * m, x.shape[1]))
+    out[:m] = x
+    np.square(x, out=out[m:])
+    return out
+
+
+def _chunks(net, traj, agents):
+    """Walk the range `agents` in chunks of _CHUNK // m agents (at least one),
+    yielding each chunk as a range with its _Transcription.  The rival stack
+    is formed once for them all."""
+    rivals = _rival_stack(traj.x)
+    step = max(1, _CHUNK // len(traj.grid))
+    for start in range(agents.start, agents.stop, step):
+        chunk = range(start, min(start + step, agents.stop))
+        model = _Transcription(net, traj, chunk, rivals)
+        if chunk.stop == agents.stop:
+            rivals = None  # the last chunk: free the stack before its solves
+        yield chunk, model
+
+
+def _best_responses(agents, model, traj):
+    """Best responses of the agents of `model`, the range `agents`, against
+    the candidate traj: the controls, the transcribed costs, the candidate's
+    gaps over them and the gradient norms, a row or an entry per agent.  A
+    gradient norm above _GRAD_TOL relative to max(1, |b_i|) raises
+    ArithmeticError naming the first such agent: the solve lost its
+    accuracy."""
     u = model.minimize()
     gnorm = np.linalg.norm(model.gradient(u), axis=-1)
     scale = np.maximum(1.0, np.linalg.norm(model.b, axis=-1))
@@ -295,10 +337,15 @@ def _best_responses(net, traj, agents):
     if bad.size:
         raise ArithmeticError(
             "best-response solve did not reach stationarity for agent "
-            f"{np.asarray(agents)[bad[0]] + 1}: gradient norm {gnorm[bad[0]]:.3e}")
+            f"{agents[bad[0]] + 1}: gradient norm {gnorm[bad[0]]:.3e}")
     cost = model.cost(u)
-    gap = model.cost(traj.u_rows(agents)) - cost
-    return model, u, cost, gap, gnorm
+    return u, cost, model.cost(traj.u_rows(agents)) - cost, gnorm
+
+
+def _gap_ratios(agents, model, traj):
+    """Each agent's best-response gap relative to max(1, its candidate cost)."""
+    _, cost, gap, _ = _best_responses(agents, model, traj)
+    return gap / np.maximum(1.0, cost + gap)
 
 
 def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory,
@@ -311,7 +358,8 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory,
     _GRAD_TOL raises ArithmeticError: the solve lost its accuracy.  This is
     nash_residual's batched solve restricted to agent i.
     """
-    model, u, cost, gap, gnorm = _best_responses(net, traj, [i])
+    (agents, model), = _chunks(net, traj, range(i, i + 1))
+    u, cost, gap, gnorm = _best_responses(agents, model, traj)
     return BestResponseResult(agent=i, control=u[0], trajectory=model.state(u)[0],
                               cost=float(cost[0]), gap=float(gap[0]),
                               gradient_norm=float(gnorm[0]))
@@ -328,10 +376,12 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> float:
     (1/2) du' H du with du = u_cand - u_br and H the transcribed Hessian.
     The transcription is second order, so du = O(h^2) (about 4x smaller per
     grid doubling) and the residual is O(h^4) (about 16x smaller).  Every
-    agent is solved in one batch, one banded solve per distinct q_i.
+    chunk of agents is solved in one batch, one banded solve per distinct
+    q_i.
     """
-    _, _, cost, gap, _ = _best_responses(net, traj, np.arange(traj.n))
-    return float(np.max(gap / np.maximum(1.0, cost + gap), initial=0.0))
+    ratios = [_gap_ratios(agents, model, traj)
+              for agents, model in _chunks(net, traj, range(traj.n))]
+    return float(np.max(np.concatenate(ratios), initial=0.0))
 
 
 def stationarity_check(net: InfluenceNetwork,
@@ -403,40 +453,66 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     so a zero amplitude gives exactly zero and e^2 is never formed.  Returns
     (passed, worst_gain) where worst_gain is the largest cost reduction any
     perturbation achieved; passing means no reduction beyond _DEVIATION_TOL.
-    This is _deviation_probes restricted to agent i.
+    This is the certificate's probe pricing restricted to agent i.
     """
-    return _deviation_probes(net, traj, [i], count, [seed])[0]
+    (agents, model), = _chunks(net, traj, range(i, i + 1))
+    return _probe_gains(model, traj.u_rows(agents), _probe_basis(traj), count, [seed])[0]
 
 
-def _deviation_probes(net, traj, agents, count, seeds):
-    """deviation_test for every agent in the index array `agents`, the r-th
-    drawing its coefficients from default_rng(seeds[r]); a list of
-    (passed, worst_gain) in the order of `agents`.
+def _probe_basis(traj):
+    """B: the sines and cosines of modes 1 .. 6 over the horizon, 12 x m."""
+    phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
+    return np.vstack([np.sin(phase), np.cos(phase)])
 
-    B, the two shared forms of B (see _Transcription.hessian_form) and every
-    agent's B g are computed once; each agent then draws its probes, finds
-    their peaks with one count x m product and prices them from its own
-    12-vector B g and 12 x 12 form q_i A + E.
+
+def _probe_gains(model, u_cand, basis, count, seeds):
+    """deviation_test for every agent of `model`, whose candidate controls
+    are the rows of u_cand, the r-th drawing its coefficients from
+    default_rng(seeds[r]); a list of (passed, worst_gain) in agent order.
+
+    Each agent draws its probes and finds their peaks with one count x m
+    product into a reused buffer.  The normalization, the slopes from B g,
+    the curvatures from the 12 x 12 forms q_i A + E (see
+    _Transcription.hessian_form) and the gains at every amplitude then run
+    once over the whole chunk; a probe whose peak is zero is masked.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    model = _Transcription(net, traj, agents)
-    u_base = traj.u_rows(agents)
-    phase = np.pi * np.arange(1, 7)[:, None] * (traj.grid / traj.T)
-    basis = np.vstack([np.sin(phase), np.cos(phase)])
-    basis_gradients = model.gradient(u_base) @ basis.T
-    basis_hessians = model.hessian_form(basis)
-    scales = np.max(np.abs(u_base), axis=1) + 1.0
-    results = []
-    for seed, basis_gradient, basis_hessian, scale in zip(
-            seeds, basis_gradients, basis_hessians, scales):
-        coef = np.random.default_rng(seed).standard_normal((count, 2, 6)).reshape(count, 12)
-        delta = coef @ basis
-        peak = np.max(np.abs(delta, out=delta), axis=1)
-        coef = coef[peak != 0.0] / peak[peak != 0.0, None]
-        slope = coef @ basis_gradient
-        curve = np.einsum("ki,ij,kj->k", coef, basis_hessian, coef)
-        e = np.multiply(_AMPLITUDES, scale)[:, None]
-        worst_gain = float(np.max(-e * (slope + (0.5 * e) * curve), initial=0.0))
-        results.append((worst_gain <= _DEVIATION_TOL, worst_gain))
-    return results
+    coef = np.empty((len(seeds), count, 12))
+    peak = np.empty((len(seeds), count))
+    delta = np.empty((count, basis.shape[1]))
+    for r, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(
+            (count, 2, 6), out=coef[r].reshape(count, 2, 6))
+        np.abs(np.matmul(coef[r], basis, out=delta), out=delta)
+        np.max(delta, axis=1, out=peak[r])
+    live = peak != 0.0
+    np.divide(coef, peak[..., None], out=coef, where=live[..., None])
+    slope = (coef @ (model.gradient(u_cand) @ basis.T)[..., None])[..., 0]
+    bend = coef @ model.hessian_form(basis)
+    curve = (bend[..., None, :] @ coef[..., None])[..., 0, 0]
+    e = np.multiply.outer(np.max(np.abs(u_cand), axis=1) + 1.0, _AMPLITUDES)[..., None]
+    gains = -e * (slope[:, None] + (0.5 * e) * curve[:, None])
+    worst = np.max(gains, axis=(1, 2), initial=0.0, where=live[:, None])
+    return [(gain <= _DEVIATION_TOL, gain) for gain in worst.tolist()]
+
+
+def _certificate(net: InfluenceNetwork, traj: EquilibriumTrajectory, count: int,
+                 seed: int):
+    """nash_residual and every agent's deviation_test, agent a probing with
+    seed + a, from one _Transcription per chunk of agents; returns the
+    residual and the list of (passed, worst_gain) in agent order.
+
+    Each per-agent array of a chunk holds about _CHUNK entries, beside the
+    rival stack of 2 m n.  The residual is nash_residual's to the bit; a
+    gain is deviation_test's up to the rounding of the agent's forcing
+    product, which a chunk forms for all its agents at once.
+    """
+    basis = _probe_basis(traj)
+    ratios, deviations = [], []
+    for agents, model in _chunks(net, traj, range(traj.n)):
+        ratios.append(_gap_ratios(agents, model, traj))
+        # Python ints, so that no seed wraps or overflows at any size
+        deviations += _probe_gains(model, traj.u_rows(agents), basis, count,
+                                   [seed + a for a in agents])
+    return float(np.max(np.concatenate(ratios), initial=0.0)), deviations

@@ -13,19 +13,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_net
 import opiniongame
 import opiniongame.analytic as analytic_module
 import opiniongame.cli as cli_module
 import opiniongame.network as network_module
 import opiniongame.solver as solver_module
+import opiniongame.verify as verify_module
 from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNSUPPORTED,
                              EXIT_VERIFY_FAILED, FIGURE_NAMES, PRESETS, CliInputError,
-                             cmd_figures, cmd_simulate, cmd_verify, get_preset,
-                             load_scenario, main, save_scenario,
+                             cmd_figures, cmd_simulate, cmd_verify, constant_candidate,
+                             get_preset, load_scenario, main, save_scenario,
                              write_trajectory_csv)
 from opiniongame.network import (CompleteUniform, SingleLeader,
                                  classify_topology, network_to_dict)
 from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
+from opiniongame.verify import _certificate, deviation_test
 
 
 def test_presets_match_expected_parameterizations():
@@ -227,6 +230,19 @@ def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(target)]) == EXIT_INPUT
     assert "cannot write" in capsys.readouterr().err
     assert target.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    pytest.param("fig1b", ["--preset", "fig1b"], EXIT_OK, id="fig1b"),
+    pytest.param("fig3b", ["--preset", "fig3b"], EXIT_OK, id="fig3b"),
+    pytest.param("fig1b-constant", ["--preset", "fig1b", "--candidate", "constant"],
+                 EXIT_VERIFY_FAILED, id="fig1b-constant"),
+])
+def test_verify_output_matches_golden(capsys, name, argv, code):
+    assert main(["verify", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"verify-{name}.txt").read_text(encoding="utf-8")
+    assert captured.err == ""
 
 
 def test_limits_general_topology_exits_4():
@@ -509,15 +525,63 @@ def test_seed_beyond_int64_verifies(capsys, preset, seed):
     assert capsys.readouterr().err == ""
 
 
-def test_each_agent_draws_from_seed_plus_its_index():
-    # each agent's probes come from default_rng(seed + agent) whatever the
-    # seed's integer type
-    net = PRESETS["fig3b"].network
-    report = cmd_verify(net, 301, count=7, seed=11)
-    traj = solve_equilibrium(net, 301)
-    agents = np.arange(net.n)
-    assert report.deviations == cli_module._deviation_probes(
-        net, traj, agents, 7, np.int64(11) + agents)
+def certificate_case(name, candidate, m):
+    net = (random_net(np.random.default_rng(7), n=12) if name == "random"
+           else PRESETS[name].network)
+    return net, (constant_candidate(net, m) if candidate == "constant"
+                 else solve_equilibrium(net, m))
+
+
+@pytest.mark.parametrize("candidate", ["solver", "constant"])
+@pytest.mark.parametrize("name", ["fig3b", "random"])
+def test_verify_probes_each_agent_as_deviation_test(name, candidate):
+    # agent a probes with default_rng(seed + a), the same code as
+    # deviation_test for that agent alone.  Every gain of an equilibrium is
+    # exactly 0.0; the constant candidate's are O(1) and pin the seeds, up
+    # to the rounding of a one-agent forcing product
+    net, traj = certificate_case(name, candidate, 301)
+    report = cmd_verify(net, 301, count=7, seed=11,
+                        candidate=None if candidate == "solver" else candidate)
+    want = [deviation_test(net, traj, i, 7, 11 + i) for i in range(net.n)]
+    if candidate == "solver":
+        assert report.deviations == want
+    assert [ok for ok, _ in report.deviations] == [ok for ok, _ in want]
+    np.testing.assert_allclose([g for _, g in report.deviations],
+                               [g for _, g in want], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("candidate", ["solver", "constant"])
+@pytest.mark.parametrize("name", ["fig3b", "random"])
+def test_chunked_certificate_matches_one_chunk(monkeypatch, name, candidate):
+    m = 301
+    net, traj = certificate_case(name, candidate, m)
+    residual, deviations = _certificate(net, traj, 20, 3)
+    built = []
+    original = verify_module._Transcription
+    monkeypatch.setattr(verify_module, "_Transcription",
+                        lambda net, traj, agents, rivals: built.append(agents)
+                        or original(net, traj, agents, rivals))
+    monkeypatch.setattr(verify_module, "_CHUNK", 4 * m)
+    chunked, chunked_deviations = _certificate(net, traj, 20, 3)
+    assert built == [range(a, min(a + 4, net.n)) for a in range(0, net.n, 4)]
+    # a gap is a difference of two costs of order one, so a residual near
+    # 1e-7 keeps only the absolute accuracy of those costs
+    assert chunked == pytest.approx(residual, rel=1e-12, abs=1e-15)
+    assert [ok for ok, _ in chunked_deviations] == [ok for ok, _ in deviations]
+    np.testing.assert_allclose([g for _, g in chunked_deviations],
+                               [g for _, g in deviations], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("candidate", [None, "constant"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_verify_builds_one_transcription_per_preset(monkeypatch, name, candidate):
+    # the Nash residual and the probes share one model of every agent
+    built = []
+    original = verify_module._Transcription
+    monkeypatch.setattr(verify_module, "_Transcription",
+                        lambda *args: built.append(args[2]) or original(*args))
+    cmd_verify(PRESETS[name].network, 501, count=100, seed=0, candidate=candidate)
+    assert [list(agents) for agents in built] == [list(range(10))]
 
 
 def test_overflowing_diagonal_fails_validation(tmp_path, capsys):

@@ -18,7 +18,7 @@ from opiniongame.cli import (EXIT_SOLVER, PRESETS, RunReport, constant_candidate
                              load_scenario, main)
 from opiniongame.network import InfluenceNetwork
 from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
-from opiniongame.verify import (CostBreakdown, StationarityReport, _deviation_probes,
+from opiniongame.verify import (CostBreakdown, StationarityReport, _certificate,
                                 _Transcription, best_response,
                                 cumulative_trapezoid_matrix, deviation_test,
                                 evaluate_cost, nash_residual, quadratic_cost,
@@ -495,12 +495,11 @@ def test_stationarity_flags_an_own_control_off_minus_p(fig1b_net):
 def verification(net, traj):
     """Every result cmd_verify and cmd_simulate take from traj, and the
     report text they print."""
+    residual, deviations = _certificate(net, traj, 5, 0)
     report = RunReport(scenario=net.name, samples=len(traj.grid),
-                       costs=evaluate_cost(net, traj), residual=nash_residual(net, traj),
+                       costs=evaluate_cost(net, traj), residual=residual,
                        stationarity=stationarity_check(net, traj),
-                       deviations=_deviation_probes(net, traj, np.arange(traj.n), 5,
-                                                    list(range(traj.n))),
-                       terminal=traj.x[-1].copy(), passed=True)
+                       deviations=deviations, terminal=traj.x[-1].copy(), passed=True)
     return (report.costs, report.residual, report.stationarity, report.deviations,
             report.render())
 
@@ -640,6 +639,28 @@ def test_deviation_zero_amplitude_gap_is_exactly_zero(fig1b_net, monkeypatch):
     monkeypatch.setattr(verify_module, "_AMPLITUDES", (0.0,))
     ok, worst = deviation_test(fig1b_net, traj, 0, count=5, seed=1)
     assert ok and worst == 0.0
+
+
+def test_probe_with_zero_peak_is_masked(fig1b_net, monkeypatch):
+    # probes whose coefficients are all zero have a zero peak; they are left
+    # out of the worst gain, with no division by zero, as if never drawn
+    cand = constant_candidate(fig1b_net, 201)
+    drawn = np.random.default_rng(4).standard_normal((3, 2, 6))
+    padded = np.zeros((6, 2, 6))
+    padded[1::2] = drawn
+
+    class Fixed:
+        def __init__(self, seed):
+            self.coef = padded if seed else drawn
+
+        def standard_normal(self, size, out):
+            out[...] = self.coef
+
+    monkeypatch.setattr(np.random, "default_rng", Fixed)
+    ok, worst = deviation_test(fig1b_net, cand, 0, count=3, seed=0)
+    ok_padded, worst_padded = deviation_test(fig1b_net, cand, 0, count=6, seed=1)
+    assert not ok and not ok_padded and worst > 1e-3
+    assert worst_padded == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 def test_deviation_finds_profit_on_perturbed_candidate(fig1b_net):
@@ -835,10 +856,10 @@ def test_batched_verifier_matches_per_agent_references(seed, n, half, lattice, c
         gap = cost - dense_cost(model, dense_best_response(net, traj, i))
         ratios.append(gap / max(1.0, cost))
         costs.append(abs(cost))
+    residual, deviations = _certificate(net, traj, 20, 0)
     assert abs(nash_residual(net, traj) - max(ratios)) <= 1e-12 * max(costs)
-    agents = np.arange(n)
-    assert_matches_difference_form(
-        net, traj, 20, results=_deviation_probes(net, traj, agents, 20, agents))
+    assert residual == nash_residual(net, traj)
+    assert_matches_difference_form(net, traj, 20, results=deviations)
     assert_matches_difference_form(net, traj, 20)
 
 
@@ -881,8 +902,11 @@ def test_lost_stationarity_names_the_first_agent(fig1b_net, monkeypatch, capsys)
         "solver error: best-response solve did not reach stationarity for agent 1: ")
 
 
-@pytest.mark.parametrize("kind", ["complete", "random"])
-def test_batched_verifier_memory_scales_with_one_trajectory(kind):
+@pytest.mark.parametrize("kind, rows, bound", [("complete", None, 8.0),
+                                               ("random", None, 7.0),
+                                               ("complete", 20, 5.0)],
+                         ids=["complete", "random", "complete-chunked"])
+def test_batched_verifier_memory_scales_with_one_trajectory(kind, rows, bound, monkeypatch):
     n, m, count = 100, 2001, 20
     rng = np.random.default_rng(2)
     net = (InfluenceNetwork(n=n, edges={(i, j): 0.5 for i in range(n) for j in range(n)
@@ -890,15 +914,17 @@ def test_batched_verifier_memory_scales_with_one_trajectory(kind):
                             k=np.full(n, 0.2), x0=rng.uniform(0, 1, n), T=2.0)
            if kind == "complete" else random_net(rng, n=n, T=2.0, edge_prob=0.05))
     traj = constant_candidate(net, m)
-    agents = np.arange(n)
-    nash_residual(net, traj)  # first-use allocations and the scipy import
+    if rows is not None:
+        monkeypatch.setattr(verify_module, "_CHUNK", rows * m)  # five chunks
+    _certificate(net, traj, count, 0)  # first-use allocations and the scipy import
     tracemalloc.start()
     try:
-        nash_residual(net, traj)
-        _deviation_probes(net, traj, agents, count, agents)
+        _certificate(net, traj, count, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 7.4 m x n arrays today, with every agent in one solve on the
-    # complete net; one m x m array alone is 20 and an (n, count, m) stack 20
-    assert peak < 10 * 8 * m * n
+    # peaks of 7.52, 6.56 and 4.44 m x n arrays, each bound about half an
+    # array above.  In one chunk the complete net's single banded solve
+    # takes three arrays of right-hand sides; in five chunks the rival stack
+    # of x and x^2 (two arrays) dominates.  One m x m array alone is 20.
+    assert peak < bound * 8 * m * n
