@@ -72,7 +72,8 @@ class RunReport:
         if self.residual is not None:
             lines.append(f"nash residual: {self.residual:.3e}")
         if self.stationarity:
-            worst = max(self.stationarity, key=lambda r: r.costate_residual)
+            worst = max(self.stationarity,
+                        key=lambda r: (not r.passed, r.costate_residual))
             lines.append(
                 "stationarity: "
                 + ("all within tolerance" if all(r.passed for r in self.stationarity)
@@ -606,7 +607,9 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except MemoryError:
-        print("error: not enough memory for this run; try a smaller --samples",
+        # verify's probe buffers grow with --count as well
+        hint = "--samples or --count" if args.command == "verify" else "--samples"
+        print(f"error: not enough memory for this run; try a smaller {hint}",
               file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -163,9 +163,7 @@ class _Transcription:
     """Quadratic model of the problems of the agents `agents`, rivals frozen.
 
     agents is an agent index, an index array or a range; every per-agent
-    quantity is then a scalar or a row per agent.  rivals, if given, is
-    _rival_stack(traj.x), shared by the models of one certificate.  Agent
-    i's objective is
+    quantity is then a scalar or a row per agent.  Agent i's objective is
     J_i(u) = sum_j s_j [q_i x_j^2 / 2 - b_ij x_j + c_ij] + u' M u / 2 with
     x = x0_i + L u, b_i the frozen neighbor forcing and c_i the constant
     part, so J_i equals the agent's full cost, not just the variable piece.
@@ -177,7 +175,7 @@ class _Transcription:
     along the leading axis.
     """
 
-    def __init__(self, net, traj, agents, rivals=None):
+    def __init__(self, net, traj, agents):
         self.h = h = _grid_step(traj.grid)
         m = len(traj.grid)
         self.s = simpson_weights(m, h)
@@ -188,11 +186,11 @@ class _Transcription:
         self.x0i = net.x0[agents]
         w = (np.diag(q) - net.W)[agents]  # influence weights, zero on the agent itself
         kx0 = (net.k * net.x0)[agents]
-        # b and c from one product of the rivals' x and x^2 with the weights,
-        # completed in place: they are the two halves of its rows
-        forcing = w @ (_rival_stack(traj.x) if rivals is None else rivals).T
-        self.b, self.c = forcing[..., :m], forcing[..., m:]
+        # b and c from the products of the rivals' x and x^2 with the weights,
+        # completed in place
+        self.b = w @ traj.x.T
         self.b += kx0[..., None]
+        self.c = w @ np.square(traj.x).T
         self.c += (kx0 * self.x0i)[..., None]
         self.c *= 0.5
 
@@ -299,28 +297,13 @@ class _Transcription:
         return u
 
 
-def _rival_stack(x):
-    """The rivals' x stacked over x^2, (2m, n): the right operand, transposed,
-    of every _Transcription's forcing product."""
-    m = len(x)
-    out = np.empty((2 * m, x.shape[1]))
-    out[:m] = x
-    np.square(x, out=out[m:])
-    return out
-
-
-def _chunks(net, traj, agents):
-    """Walk the range `agents` in chunks of _CHUNK // m agents (at least one),
-    yielding each chunk as a range with its _Transcription.  The rival stack
-    is formed once for them all."""
-    rivals = _rival_stack(traj.x)
+def _chunks(net, traj):
+    """Walk the agents in chunks of _CHUNK // m (at least one), yielding each
+    chunk as a range with its _Transcription."""
     step = max(1, _CHUNK // len(traj.grid))
-    for start in range(agents.start, agents.stop, step):
-        chunk = range(start, min(start + step, agents.stop))
-        model = _Transcription(net, traj, chunk, rivals)
-        if chunk.stop == agents.stop:
-            rivals = None  # the last chunk: free the stack before its solves
-        yield chunk, model
+    for start in range(0, traj.n, step):
+        chunk = range(start, min(start + step, traj.n))
+        yield chunk, _Transcription(net, traj, chunk)
 
 
 def _best_responses(agents, model, traj):
@@ -358,7 +341,8 @@ def best_response(net: InfluenceNetwork, traj: EquilibriumTrajectory,
     _GRAD_TOL raises ArithmeticError: the solve lost its accuracy.  This is
     nash_residual's batched solve restricted to agent i.
     """
-    (agents, model), = _chunks(net, traj, range(i, i + 1))
+    agents = range(i, i + 1)
+    model = _Transcription(net, traj, agents)
     u, cost, gap, gnorm = _best_responses(agents, model, traj)
     return BestResponseResult(agent=i, control=u[0], trajectory=model.state(u)[0],
                               cost=float(cost[0]), gap=float(gap[0]),
@@ -380,7 +364,7 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> float:
     q_i.
     """
     ratios = [_gap_ratios(agents, model, traj)
-              for agents, model in _chunks(net, traj, range(traj.n))]
+              for agents, model in _chunks(net, traj)]
     return float(np.max(np.concatenate(ratios), initial=0.0))
 
 
@@ -455,8 +439,8 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     perturbation achieved; passing means no reduction beyond _DEVIATION_TOL.
     This is the certificate's probe pricing restricted to agent i.
     """
-    (agents, model), = _chunks(net, traj, range(i, i + 1))
-    return _probe_gains(model, traj.u_rows(agents), _probe_basis(traj), count, [seed])[0]
+    model = _Transcription(net, traj, range(i, i + 1))
+    return _probe_gains(model, traj.u_rows([i]), _probe_basis(traj), count, [seed])[0]
 
 
 def _probe_basis(traj):
@@ -503,14 +487,14 @@ def _certificate(net: InfluenceNetwork, traj: EquilibriumTrajectory, count: int,
     seed + a, from one _Transcription per chunk of agents; returns the
     residual and the list of (passed, worst_gain) in agent order.
 
-    Each per-agent array of a chunk holds about _CHUNK entries, beside the
-    rival stack of 2 m n.  The residual is nash_residual's to the bit; a
-    gain is deviation_test's up to the rounding of the agent's forcing
-    product, which a chunk forms for all its agents at once.
+    Each per-agent array of a chunk holds about _CHUNK entries.  The
+    residual is nash_residual's to the bit; a gain is deviation_test's up to
+    the rounding of the agent's forcing product, which a chunk forms for all
+    its agents at once.
     """
     basis = _probe_basis(traj)
     ratios, deviations = [], []
-    for agents, model in _chunks(net, traj, range(traj.n)):
+    for agents, model in _chunks(net, traj):
         ratios.append(_gap_ratios(agents, model, traj))
         # Python ints, so that no seed wraps or overflows at any size
         deviations += _probe_gains(model, traj.u_rows(agents), basis, count,

@@ -245,6 +245,18 @@ def test_verify_output_matches_golden(capsys, name, argv, code):
     assert captured.err == ""
 
 
+def test_violated_stationarity_names_a_failing_agent(capsys):
+    # agent 5 has the largest costate residual of this scenario but passes
+    # its own tolerance; the line must quote an agent that fails
+    scenario = str(GOLDEN / "scenario-fig3b-1e50.json")
+    assert main(["verify", "--scenario", scenario]) == EXIT_VERIFY_FAILED
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("stationarity:")]
+    assert "VIOLATED" in line
+    residual, tol = (float(word.strip(",)")) for word in line.split()[-3::2])
+    assert residual > tol
+
+
 def test_limits_general_topology_exits_4():
     rc = main(["limits", "--preset", "fig3b"])
     assert rc == EXIT_UNSUPPORTED
@@ -465,6 +477,16 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command):
     assert err.startswith("error: not enough memory") and "--samples" in err
 
 
+def test_out_of_memory_in_the_probes_names_count(capsys, monkeypatch):
+    # the probe buffers are count x m, so verify's hint names --count too
+    def exhausted(net, traj, count, seed):
+        raise MemoryError("cannot allocate the probes")
+    monkeypatch.setattr(cli_module, "_certificate", exhausted)
+    assert main(["verify", "--preset", "fig1b", "--count", "999999999"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory") and "--count" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("samples", ["500", "2", "1", "0", "-3"])
 def test_bad_sample_count_fails_before_solving(tmp_path, capsys, monkeypatch,
@@ -559,8 +581,8 @@ def test_chunked_certificate_matches_one_chunk(monkeypatch, name, candidate):
     built = []
     original = verify_module._Transcription
     monkeypatch.setattr(verify_module, "_Transcription",
-                        lambda net, traj, agents, rivals: built.append(agents)
-                        or original(net, traj, agents, rivals))
+                        lambda net, traj, agents: built.append(agents)
+                        or original(net, traj, agents))
     monkeypatch.setattr(verify_module, "_CHUNK", 4 * m)
     chunked, chunked_deviations = _certificate(net, traj, 20, 3)
     assert built == [range(a, min(a + 4, net.n)) for a in range(0, net.n, 4)]

@@ -421,6 +421,12 @@ def test_transcription_forcing_matches_edge_loop(name):
         b, c = edge_forcing(net, traj, i)
         np.testing.assert_allclose(model.b, b, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(model.c, c, rtol=1e-13, atol=0.0)
+    # a chunk's model forms the rows of every agent at once
+    model = _Transcription(net, traj, range(net.n))
+    for i in range(net.n):
+        b, c = edge_forcing(net, traj, i)
+        np.testing.assert_allclose(model.b[i], b, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(model.c[i], c, rtol=1e-13, atol=0.0)
 
 
 def test_verifier_reuses_network_matrices(fig1b_net, monkeypatch):
@@ -904,7 +910,7 @@ def test_lost_stationarity_names_the_first_agent(fig1b_net, monkeypatch, capsys)
 
 @pytest.mark.parametrize("kind, rows, bound", [("complete", None, 8.0),
                                                ("random", None, 7.0),
-                                               ("complete", 20, 5.0)],
+                                               ("complete", 20, 3.0)],
                          ids=["complete", "random", "complete-chunked"])
 def test_batched_verifier_memory_scales_with_one_trajectory(kind, rows, bound, monkeypatch):
     n, m, count = 100, 2001, 20
@@ -923,8 +929,10 @@ def test_batched_verifier_memory_scales_with_one_trajectory(kind, rows, bound, m
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # peaks of 7.52, 6.56 and 4.44 m x n arrays, each bound about half an
+    # peaks of 7.52, 6.56 and 2.44 m x n arrays, each bound about half an
     # array above.  In one chunk the complete net's single banded solve
-    # takes three arrays of right-hand sides; in five chunks the rival stack
-    # of x and x^2 (two arrays) dominates.  One m x m array alone is 20.
+    # takes three arrays of right-hand sides; in five chunks each solve
+    # takes a fifth of that, and the one array of x^2 that each chunk's
+    # model forms and frees stays below the peak.  One m x m array alone
+    # is 20.
     assert peak < bound * 8 * m * n
