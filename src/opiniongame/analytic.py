@@ -16,8 +16,8 @@ The parameters of both families are the CompleteUniform and SingleLeader
 objects that network.classify_topology returns; complete_params and
 leader_params classify a network and require the one family.  Both
 trajectory functions take a scalar or an array t and return opinions of
-shape t.shape + (n,), so a whole grid costs one call.  Both shrink factors
-have the form (k + w R(t))/l with R(t) = cosh(sqrt(l)(T-t))/cosh(sqrt(l) T),
+shape t.shape + (n,), so a whole grid costs one call.  Both families obey
+one shrink law, (k + w R(t))/l with R(t) = cosh(sqrt(l)(T-t))/cosh(sqrt(l) T),
 so an eps-consensus time inverts R explicitly through arccosh.
 """
 
@@ -32,11 +32,10 @@ from .solver import cosh_ratios
 
 
 def complete_params(net: InfluenceNetwork) -> CompleteUniform:
-    """net's complete uniform family; ValueError for other nets and for w = k = 0."""
+    """net's complete uniform family; ValueError for any other network."""
     p = classify_topology(net)
     if not isinstance(p, CompleteUniform):
         raise ValueError("network is not a complete uniform topology")
-    p.lambda1  # raises on the degenerate instance
     return p
 
 
@@ -48,6 +47,14 @@ def leader_params(net: InfluenceNetwork) -> SingleLeader:
     return p
 
 
+def shrink(lam, k, w, T, t=None):
+    """The shrink law (k + w R(t))/lam, as k/lam + (w/lam) R(t): the factor
+    that scales a deviation at time t, or in the long run (R = 0) for
+    t = None.  1 where lam = 0: with neither rate, nothing moves."""
+    R = 0.0 if t is None else cosh_ratios(lam, T - np.asarray(t, dtype=float), T)[0]
+    return np.ones_like(R) if lam == 0.0 else k / lam + (w / lam) * R
+
+
 # ---------------------------------------------------------------------------
 # complete uniform topology
 
@@ -55,8 +62,7 @@ def leader_params(net: InfluenceNetwork) -> SingleLeader:
 def gamma(p: CompleteUniform, t) -> float:
     """Shrink factor applied to each agent's deviation from the average."""
     _check_time(p.T, t)
-    l1 = p.lambda1
-    return p.k / l1 + (p.n * p.w / l1) * cosh_ratios(l1, p.T - np.asarray(t, dtype=float), p.T)[0]
+    return shrink(p.lambda1, p.k, p.n * p.w, p.T, t)
 
 
 def complete_trajectory(p: CompleteUniform, x0, t) -> np.ndarray:
@@ -70,7 +76,7 @@ def complete_limit(p: CompleteUniform, x0) -> np.ndarray:
     """Long-run opinions avg + (k/l1)(x0_i - avg): average consensus iff k = 0."""
     x0 = _check_x0(p.n, x0)
     avg = x0.mean()
-    return avg + (p.k / p.lambda1) * (x0 - avg)
+    return avg + shrink(p.lambda1, p.k, p.n * p.w, p.T) * (x0 - avg)
 
 
 def epsilon_consensus_time(p: CompleteUniform, x0, eps):
@@ -83,29 +89,22 @@ def epsilon_consensus_time(p: CompleteUniform, x0, eps):
     _check_eps(eps)
     x0 = _check_x0(p.n, x0)
     spread = float(np.max(np.abs(x0 - x0.mean())))
-    if spread * float(gamma(p, 0.0)) <= eps:
-        return 0.0
-    if spread * float(gamma(p, p.T)) > eps:
-        return None
-    return _ratio_time(p.lambda1, p.k, p.n * p.w, p.T, eps / spread)
+    return _consensus_time(p.lambda1, p.k, p.n * p.w, p.T, spread, eps)
 
 
 # ---------------------------------------------------------------------------
 # single-leader topology
 
 
-def _xi(p: SingleLeader, t):
-    """xi_i(t) for every agent, shape t.shape + (n,); 0 for the leader and for
-    followers with l_i = 0, which the convention pins to x0_i."""
-    coef = np.divide(p.w1, p.lam, out=np.zeros(p.n), where=p.lam > 0.0)
-    return coef * cosh_ratios(p.lam, p.T - np.asarray(t, dtype=float)[..., None], p.T)[0]
-
-
 def leader_trajectory(p: SingleLeader, x0, t) -> np.ndarray:
-    """x_1(t) = x0_1; x_i(t) = (k_i x0_i + w_i1 x0_1)/l_i + xi_i(t)(x0_i - x0_1)."""
+    """x_1(t) = x0_1; x_i(t) = (k_i x0_i + w_i1 x0_1)/l_i + xi_i(t)(x0_i - x0_1),
+    where xi is 0 for the leader and for followers with l_i = 0, which the
+    convention pins to x0_i."""
     _check_time(p.T, t)
     x0 = _check_x0(p.n, x0)
-    return leader_limit(p, x0) + _xi(p, t) * (x0 - x0[0])
+    coef = np.divide(p.w1, p.lam, out=np.zeros(p.n), where=p.lam > 0.0)
+    xi = coef * cosh_ratios(p.lam, p.T - np.asarray(t, dtype=float)[..., None], p.T)[0]
+    return leader_limit(p, x0) + xi * (x0 - x0[0])
 
 
 def leader_limit(p: SingleLeader, x0) -> np.ndarray:
@@ -122,18 +121,13 @@ def leader_distance(p: SingleLeader, i, x0, t) -> float:
     """|x_i(t) - x0_1| = (k_i/l_i + xi_i(t)) |x0_i - x0_1|, non-increasing."""
     _check_time(p.T, t)
     dist = _leader_gap(p, i, x0)
-    return _leader_factor(p, i, t) * dist
+    return shrink(p.lam[i], p.k[i], p.w1[i], p.T, t) * dist
 
 
 def leader_consensus_time(p: SingleLeader, i, x0, eps):
     """Earliest t with follower i within eps of the leader's opinion, or None."""
     _check_eps(eps)
-    dist = _leader_gap(p, i, x0)
-    if _leader_factor(p, i, 0.0) * dist <= eps:
-        return 0.0
-    if _leader_factor(p, i, p.T) * dist > eps:
-        return None
-    return _ratio_time(p.lam[i], p.k[i], p.w1[i], p.T, eps / dist)
+    return _consensus_time(p.lam[i], p.k[i], p.w1[i], p.T, _leader_gap(p, i, x0), eps)
 
 
 def _leader_gap(p: SingleLeader, i, x0) -> float:
@@ -144,12 +138,13 @@ def _leader_gap(p: SingleLeader, i, x0) -> float:
     return abs(float(x0[i] - x0[0]))
 
 
-def _leader_factor(p: SingleLeader, i, t) -> float:
-    """k_i/l_i + xi_i(t), from follower i's own mode only; 1 where l_i = 0."""
-    li = p.lam[i]
-    if li == 0.0:
-        return 1.0
-    return p.k[i] / li + (p.w1[i] / li) * float(cosh_ratios(li, p.T - float(t), p.T)[0])
+def _consensus_time(lam, k, w, T, dist, eps):
+    """Earliest t in [0, T] with shrink(lam, k, w, T, t) dist <= eps, or None."""
+    if shrink(lam, k, w, T, 0.0) * dist <= eps:
+        return 0.0
+    if shrink(lam, k, w, T, T) * dist > eps:
+        return None
+    return _ratio_time(lam, k, w, T, eps / dist)
 
 
 def _ratio_time(lam, k, w, T, level):

@@ -2,7 +2,7 @@
 orchestration, CSV trajectories and gnuplot scripts.
 
 Exit codes: 0 success, 1 verification failed, 2 input error (running out of
-memory included), 3 solver error, 4 unsupported operation.
+memory included), 3 solver error.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from . import analytic
 from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
                       classify_topology, network_from_dict, network_to_dict,
                       validate)
-from .solver import EquilibriumTrajectory, solve_equilibrium
+from .solver import EquilibriumTrajectory, _lifted, solve_equilibrium
 from .verify import _certificate, evaluate_cost, stationarity_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
-EXIT_UNSUPPORTED = 4
 
 _X0_LADDER = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95]
 
@@ -190,9 +189,8 @@ def load_scenario(path) -> InfluenceNetwork:
 
 
 def save_scenario(net: InfluenceNetwork, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(network_to_dict(net), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")  # no partial file on error
 
 
 def _resolve_network(args) -> InfluenceNetwork:
@@ -392,15 +390,11 @@ def closed_form_deviation(net: InfluenceNetwork, traj: EquilibriumTrajectory):
     """Sup-norm gap between the sampled solver output and the matching
     closed form, or None for general topologies."""
     family = classify_topology(net)
-    try:
-        if isinstance(family, CompleteUniform):
-            ref = analytic.complete_trajectory(family, net.x0, traj.grid)
-        elif isinstance(family, SingleLeader):
-            ref = analytic.leader_trajectory(family, net.x0, traj.grid)
-        else:
-            return None
-    except ValueError:
-        # degenerate parameterizations (w = k = 0) have no closed form
+    if isinstance(family, CompleteUniform):
+        ref = analytic.complete_trajectory(family, net.x0, traj.grid)
+    elif isinstance(family, SingleLeader):
+        ref = analytic.leader_trajectory(family, net.x0, traj.grid)
+    else:
         return None
     return float(np.max(np.abs(ref - traj.x)))
 
@@ -468,15 +462,16 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
 
 
 def cmd_limits(net: InfluenceNetwork, eps_list) -> str:
-    """Long-run limits, eps-consensus times and distance ratios; closed-form
-    topologies only."""
+    """Long-run limits of any network; eps-consensus times and distance
+    ratios of the two closed-form families."""
     params = classify_topology(net)
     lines = [f"scenario: {net.name or 'scenario'}"]
     if isinstance(params, CompleteUniform):
         limit = analytic.complete_limit(params, net.x0)
         lines.append("long-run limits: " + " ".join(f"{v:.6f}" for v in limit))
         lines.append(f"terminal distance ratio gamma(T): {analytic.gamma(params, params.T):.6e}")
-        lines.append(f"long-run distance ratio k/lambda1: {params.k / params.lambda1:.6e}")
+        ratio = analytic.shrink(params.lambda1, params.k, params.n * params.w, params.T)
+        lines.append(f"long-run distance ratio k/lambda1: {ratio:.6e}")
         for eps in eps_list:
             t = analytic.epsilon_consensus_time(params, net.x0, eps)
             lines.append(f"eps={eps:g}: consensus time "
@@ -485,7 +480,7 @@ def cmd_limits(net: InfluenceNetwork, eps_list) -> str:
         limit = analytic.leader_limit(params, net.x0)
         lines.append("long-run limits: " + " ".join(f"{v:.6f}" for v in limit))
         for i in range(1, params.n):
-            ratio = (params.k[i] / params.lam[i] if params.lam[i] > 0 else 1.0)
+            ratio = analytic.shrink(params.lam[i], params.k[i], params.w1[i], params.T)
             lines.append(f"agent {i + 1}: long-run distance ratio to leader "
                          f"{ratio:.6e}")
         for eps in eps_list:
@@ -494,13 +489,8 @@ def cmd_limits(net: InfluenceNetwork, eps_list) -> str:
             txt = " ".join("never" if t is None else f"{t:.4f}" for t in times)
             lines.append(f"eps={eps:g}: per-follower times to leader: {txt}")
     else:
-        raise UnsupportedTopology(
-            "no closed form for a general topology; use simulate with a large T")
+        lines.append("long-run limits: " + " ".join(f"{v:.6f}" for v in _lifted(net)[1]))
     return "\n".join(lines)
-
-
-class UnsupportedTopology(Exception):
-    pass
 
 
 def cmd_figures(which, out_dir, m=501):
@@ -595,14 +585,10 @@ def main(argv=None) -> int:
                 raise CliInputError("--eps needs positive finite values")
             print(cmd_limits(net, eps_list))
             return EXIT_OK
-        if args.command == "figures":
-            for path in cmd_figures(args.which, args.out, m=args.samples):
-                print(path)
-            return EXIT_OK
-        raise CliInputError(f"unknown command {args.command!r}")
-    except UnsupportedTopology as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        # the parser admits one command more: figures
+        for path in cmd_figures(args.which, args.out, m=args.samples):
+            print(path)
+        return EXIT_OK
     except ArithmeticError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -98,9 +98,7 @@ class CompleteUniform:
 
     @property
     def lambda1(self) -> float:
-        """k + n w, the rate that sets every closed form's scale; ValueError if 0."""
-        if self.k + self.n * self.w <= 0.0:
-            raise ValueError("degenerate instance: w = k = 0 has no unique equilibrium scale")
+        """k + n w, the rate that sets every closed form's scale."""
         return self.k + self.n * self.w
 
 
@@ -293,7 +291,7 @@ def network_to_dict(net: InfluenceNetwork) -> dict:
         "x0": [float(v) for v in net.x0],
         "k": [float(v) for v in net.k],
         "edges": [
-            {"from": i + 1, "to": j + 1, "w": float(w)}
+            {"from": int(i) + 1, "to": int(j) + 1, "w": float(w)}
             for (i, j), w in sorted(net.edges.items())
         ],
     }

@@ -267,25 +267,18 @@ def _closed_classes(W, free):
         yield np.flatnonzero(members)
 
 
-def _propagate_general(net, grid):
-    """Square-root route for x'' = W x - F, F = K x0, x(0) = x0, x'(T) = 0.
-    With R the principal square root of W, c = W^-1 F and E(s) = e^{-R s},
-
-        (I + E(T)^2) z = x0 - c,   w = E(T) z,
-        x(t) = c + E(t) z + E(T - t) w,   p(t) = R (E(t) z - E(T - t) w).
-
-    No exponent is positive, so cost and accuracy do not depend on T.
+def _lifted(net):
+    """W with every singular closed class lifted, and c = W^-1 K x0: the
+    point every opinion settles at as T grows (Friedkin-Johnsen).
 
     W is singular exactly when a closed class C of the influence graph has
     k = 0 on every member.  l^T x_C then stays at l^T x0_C, where
     l^T W_CC = 0 and l^T 1 = 1, so adding beta 1 l^T to W_CC and
     beta l^T x0_C to F_C leaves the trajectory as it is and moves the zero
-    eigenvalue to beta (Brauer's theorem): sqrtm never sees a singular W.
-    A k too small to change its row of W in floating point counts as 0.
+    eigenvalue to beta (Brauer's theorem).  A k too small to change its row
+    of W in floating point counts as 0.
     """
-    from scipy.linalg import expm, sqrtm
-
-    x0, m, n = net.x0, len(grid), int(net.n)
+    x0, n = net.x0, int(net.n)
     W, F = net.W.copy(), net.k * x0
     # a k below the rounding of its row of W leaves W as singular as k = 0
     free = net.k <= n * np.finfo(float).eps * W.diagonal()
@@ -298,7 +291,23 @@ def _propagate_general(net, grid):
             beta = float(np.max(np.diag(block))) or 1.0
             W[np.ix_(C, C)] = block + beta * ell
             F[C] += beta * (ell @ x0[C])
-    c = np.linalg.solve(W, F)
+    return W, np.linalg.solve(W, F)
+
+
+def _propagate_general(net, grid):
+    """Square-root route for x'' = W x - F, F = K x0, x(0) = x0, x'(T) = 0.
+    With W and c from _lifted, R the principal square root of W and
+    E(s) = e^{-R s},
+
+        (I + E(T)^2) z = x0 - c,   w = E(T) z,
+        x(t) = c + E(t) z + E(T - t) w,   p(t) = R (E(t) z - E(T - t) w).
+
+    No exponent is positive, so cost and accuracy do not depend on T.
+    """
+    from scipy.linalg import expm, sqrtm
+
+    x0, m, n = net.x0, len(grid), int(net.n)
+    W, c = _lifted(net)
     R = sqrtm(W).real  # scipy < 1.16 returns a complex array
     ET = expm(-grid[-1] * R)
     z = np.linalg.solve(np.eye(n) + ET @ ET, x0 - c)

@@ -70,9 +70,18 @@ def test_gamma_shrinks_with_scaled_rates():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_degenerate_params_rejected():
-    with pytest.raises(ValueError):
-        complete_params(complete_uniform_net(4, 0.0, 0.0, [0.1, 0.4, 0.6, 0.9], 1.0))
+def test_degenerate_params_freeze_every_agent():
+    # w = k = 0: each agent pays only for its control, so x = x0 throughout
+    x0 = np.array([0.1, 0.4, 0.6, 0.9])
+    p = complete_params(complete_uniform_net(4, 0.0, 0.0, x0, 1.0))
+    assert p.lambda1 == 0.0
+    ts = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(gamma(p, ts), np.ones(5)) and gamma(p, 0.5) == 1.0
+    np.testing.assert_allclose(complete_limit(p, x0), x0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(complete_trajectory(p, x0, ts), np.tile(x0, (5, 1)),
+                               rtol=0, atol=1e-15)
+    assert epsilon_consensus_time(p, x0, 0.5) == 0.0
+    assert epsilon_consensus_time(p, x0, 0.3) is None
 
 
 def test_complete_trajectory_boundary_and_consensus():

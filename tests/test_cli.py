@@ -20,13 +20,12 @@ import opiniongame.cli as cli_module
 import opiniongame.network as network_module
 import opiniongame.solver as solver_module
 import opiniongame.verify as verify_module
-from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_UNSUPPORTED,
-                             EXIT_VERIFY_FAILED, FIGURE_NAMES, PRESETS, CliInputError,
+from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY_FAILED, FIGURE_NAMES, PRESETS, CliInputError,
                              cmd_figures, cmd_simulate, cmd_verify, constant_candidate,
                              get_preset, load_scenario, main, save_scenario,
                              write_trajectory_csv)
 from opiniongame.network import (CompleteUniform, SingleLeader,
-                                 classify_topology, network_to_dict)
+                                 classify_topology, network_to_dict, validate)
 from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
 from opiniongame.verify import _certificate, deviation_test
 
@@ -61,6 +60,17 @@ def test_presets_round_trip_scenario_format(tmp_path):
         np.testing.assert_array_equal(back.k, preset.network.k)
         np.testing.assert_array_equal(back.x0, preset.network.x0)
         assert back.T == preset.network.T
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_numpy_integer_edge_keys_round_trip(tmp_path, dtype):
+    # validate accepts any numbers.Integral index; the file needs plain ints
+    net = PRESETS["fig3b"].network
+    keyed = replace(net, edges={(dtype(i), dtype(j)): w for (i, j), w in net.edges.items()})
+    assert validate(keyed) == []
+    path = tmp_path / "keys.json"
+    save_scenario(keyed, path)
+    assert load_scenario(path).edges == net.edges
 
 
 def test_load_scenario_rejects_malformed(tmp_path):
@@ -186,6 +196,8 @@ assert "fractions" not in sys.modules
 assert _format_tables.cache_info().currsize == 0, "CSV tables built at import"
 assert main(["limits", "--preset", "fig1b"]) == 0
 assert not scipy_loaded(), "limits"
+assert main(["limits", "--preset", "fig3b"]) == 0
+assert not scipy_loaded(), "limits on a general net"
 assert main(["simulate", "--preset", "fig2b", "--out", {out!r}]) == 0
 assert not scipy_loaded(), "simulate"
 assert main(["figures", "--which", "all", "--out", {out!r}]) == 0
@@ -206,11 +218,13 @@ def test_limits_unreachable_eps(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2b", "fig2c"])
+@pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2b", "fig2c", "fig3b"])
 @pytest.mark.parametrize("label, extra", [("default", []),
                                           ("eps", ["--eps", "0.3,0.05,0.001,1e-5"])])
 def test_limits_output_matches_golden(capsys, name, label, extra):
     assert main(["limits", "--preset", name] + extra) == EXIT_OK
+    if name == "fig3b":
+        label = "default"  # a general net prints no eps lines
     want = (GOLDEN / f"limits-{name}-{label}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
 
@@ -257,9 +271,17 @@ def test_violated_stationarity_names_a_failing_agent(capsys):
     assert residual > tol
 
 
-def test_limits_general_topology_exits_4():
-    rc = main(["limits", "--preset", "fig3b"])
-    assert rc == EXIT_UNSUPPORTED
+def test_limits_general_topology_prints_the_long_run_limit(capsys):
+    # the fixed point W c = K x0 is where a long solve ends, and the game
+    # scaled by 1e50 has the same one
+    assert main(["limits", "--preset", "fig3b"]) == EXIT_OK
+    scenario, limits = capsys.readouterr().out.splitlines()
+    assert scenario == "scenario: fig3b"
+    net = PRESETS["fig3b"].network
+    x_T = solve_equilibrium(replace(net, T=200.0), 3).x[-1]
+    assert limits == "long-run limits: " + " ".join(f"{v:.6f}" for v in x_T)
+    assert main(["limits", "--scenario", str(GOLDEN / "scenario-fig3b-1e50.json")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["scenario: fig3b-1e50", limits]
 
 
 def test_non_finite_trajectory_exits_3(tmp_path, capsys):
@@ -697,19 +719,24 @@ DEGENERATE = {"n": 4, "T": 3.0, "x0": [0.1, 0.4, 0.6, 0.9], "k": [0.0] * 4,
 
 
 def test_degenerate_complete_scenario(tmp_path, capsys):
-    # w = k = 0 still classifies as complete uniform, so its spectral route
-    # and CSV stay put; only the closed forms refuse it
+    # w = k = 0 still classifies as complete uniform: each agent pays only
+    # for its control, so nobody moves, and the closed forms say so
     scenario = tmp_path / "degenerate.json"
     scenario.write_text(json.dumps(DEGENERATE))
     assert isinstance(classify_topology(load_scenario(scenario)), CompleteUniform)
-    assert main(["limits", "--scenario", str(scenario)]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: degenerate instance: w = k = 0 has no unique "
-                            "equilibrium scale\n")
+    assert main(["limits", "--scenario", str(scenario)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "scenario: degenerate\n"
+        "long-run limits: 0.100000 0.400000 0.600000 0.900000\n"
+        "terminal distance ratio gamma(T): 1.000000e+00\n"
+        "long-run distance ratio k/lambda1: 1.000000e+00\n"
+        "eps=0.1: consensus time not reached\n"
+        "eps=0.01: consensus time not reached\n")
     assert main(["simulate", "--scenario", str(scenario), "--samples", "11",
                  "--costate", "--out", str(tmp_path)]) == EXIT_OK
-    assert "closed-form deviation" not in capsys.readouterr().out
+    line, = [s for s in capsys.readouterr().out.splitlines()
+             if s.startswith("closed-form deviation: ")]
+    assert float(line.split()[-1]) <= 1e-15
     assert ((tmp_path / "degenerate.csv").read_bytes()
             == (GOLDEN / "simulate-degenerate.csv").read_bytes())
 

@@ -645,6 +645,28 @@ def test_general_route_with_zero_stubbornness_property(seed, n, T, m, zero, drop
     assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+       zero=st.lists(st.booleans(), min_size=6, max_size=6),
+       drop=st.sampled_from([0.0, 0.6]))
+def test_fixed_point_is_the_long_run_limit_property(seed, n, zero, drop):
+    # c = W^-1 K x0 of the lifted W, singular closed classes included, is
+    # x(T) of the unlifted exact-step reference once every mode that is not
+    # conserved has decayed by e^-40
+    rng = np.random.default_rng(seed)
+    net = directed_net(rng, n, 1.0)
+    k = np.where(zero[:n], 0.0, net.k)
+    edges = {e: w for e, w in net.edges.items() if rng.random() >= drop}
+    net = InfluenceNetwork(n=n, edges=edges, k=k, x0=net.x0, T=1.0)
+    lam = np.linalg.eigvals(net.W)
+    decaying = np.sqrt(lam[np.abs(lam) > 1e-9 * max(1.0, np.max(np.abs(lam)))]).real
+    T = 40.0 / min(decaying, default=1.0)
+    assume(T <= 2000.0)
+    net = dataclasses.replace(net, T=T)
+    x_ref, _ = exact_step_reference(net, max(2, math.ceil(needed_steps(net) / 4) + 1))
+    assert np.max(np.abs(solver._lifted(net)[1] - x_ref[-1])) <= 1e-10
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
        T=st.floats(0.1, 60.0), m=st.integers(2, 120))
