@@ -12,6 +12,7 @@ for its exact eigenbasis.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import numbers
@@ -53,29 +54,6 @@ class InfluenceNetwork:
     def W(self) -> np.ndarray:
         """build_matrices(self) once per instance; if invalid, raises on every access."""
         return build_matrices(self)
-
-    @functools.cached_property
-    def edge_arrays(self):
-        """The edges in dict order as read-only arrays (i, j, w): agent j[e]
-        influences agent i[e] with weight w[e].  None where validate's
-        edge-by-edge walk would reject a type: an index that is not a
-        numbers.Integral (or does not fit np.intp), a key that is not a pair,
-        or weights that numpy does not hold as booleans, integers or floats.
-        So a network that validate passes always has these arrays."""
-        if not all(issubclass(t, numbers.Integral)
-                   for t in set(map(type, itertools.chain.from_iterable(self.edges)))):
-            return None
-        try:
-            keys = np.array(list(self.edges), dtype=np.intp).reshape(len(self.edges), 2)
-        except (OverflowError, ValueError):
-            return None
-        w = np.array(list(self.edges.values()))
-        if w.dtype.kind not in "biuf":
-            return None
-        arrays = (keys[:, 0].copy(), keys[:, 1].copy(), w.astype(float))
-        for arr in arrays:
-            arr.setflags(write=False)
-        return arrays
 
 
 @dataclass(frozen=True)
@@ -127,17 +105,17 @@ class SingleLeader:
         return len(self.k)
 
 
-def validate(net: InfluenceNetwork) -> list[Diagnostic]:
-    """Collect diagnostics; empty list means the instance is well formed.
+_REAL, _FLOAT_MAX = (numbers.Real, np.bool_), float(np.finfo(float).max)  # a weight's types, bound
 
-    Opinions outside [0, 1] yield warnings only: the dynamics are affine and
-    never clip, so the solver accepts them.
-    """
-    out = []
+
+def _checked(net: InfluenceNetwork) -> tuple[list[Diagnostic], np.ndarray | None]:
+    """validate's diagnostics and W, None if a check before its assembly fails.
+    Edges that form arrays are checked at once, and only the failing ones are
+    walked for messages; else every edge is walked, rejecting what failed."""
     if not isinstance(net.n, numbers.Integral) or net.n < 1:
-        out.append(Diagnostic("error", f"agent count must be a positive integer, got {net.n!r}"))
-        return out
-    n = int(net.n)
+        error = f"agent count must be a positive integer, got {net.n!r}"
+        return [Diagnostic("error", error)], None
+    out, n, W = [], int(net.n), None
     if net.k.shape != (n,):
         out.append(Diagnostic("error", f"k must have length {n}, got shape {net.k.shape}"))
     elif not np.all(np.isfinite(net.k)):
@@ -151,33 +129,43 @@ def validate(net: InfluenceNetwork) -> list[Diagnostic]:
         out.append(Diagnostic("error", "x0 entries must be finite"))
     if not (np.isfinite(net.T) and net.T > 0):
         out.append(Diagnostic("error", f"horizon T must be positive and finite, got {net.T}"))
-    edges = net.edges.items()
-    if net.edge_arrays is not None:  # only the edges that fail a check need a message
-        rows, cols, weights = net.edge_arrays
-        bad = ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n) | (rows == cols)
-               | ~np.isfinite(weights) | (weights < 0))
-        edges = itertools.compress(edges, bad.tolist())
-    for (i, j), w in edges:
+    edges, keys, weights = net.edges.items(), list(net.edges), list(net.edges.values())
+    if (all(issubclass(t, tuple) for t in set(map(type, keys)))
+            and all(issubclass(t, numbers.Integral)
+                    for t in set(map(type, itertools.chain.from_iterable(keys))))
+            and all(issubclass(t, _REAL) for t in set(map(type, weights)))):
+        # keys that are not pairs, or an index or a weight that does not fit
+        with contextlib.suppress(OverflowError, ValueError), np.errstate(over="ignore"):
+            rows, cols = np.array(keys, dtype=np.intp).reshape(len(keys), 2).T
+            weights = np.array(weights, dtype=float)
+            bad = ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n) | (rows == cols)
+                   | ~np.isfinite(weights) | (weights < 0))
+            edges = itertools.compress(edges, bad.tolist())  # the failing edges alone
+    for key, w in edges:
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(a, (numbers.Number, np.bool_)) for a in key)):
+            out.append(Diagnostic("error", f"edge key {key!r}: must be a pair of agent indices"))
+            continue
+        i, j = key
         tag = f"edge ({i + 1}, {j + 1})"
         if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
             out.append(Diagnostic("error", f"{tag}: indices must be integers"))
-            continue
-        if not (0 <= i < n and 0 <= j < n):
+        elif not (0 <= i < n and 0 <= j < n):
             out.append(Diagnostic("error", f"{tag}: agent index out of range 1..{n}"))
-            continue
-        if i == j:
-            out.append(Diagnostic("error", f"self-edge on agent {i + 1}"))
-        if not np.isfinite(w) or w < 0:
-            out.append(Diagnostic("error", f"{tag}: weight must be finite and >= 0, got {w}"))
+        else:
+            if i == j:
+                out.append(Diagnostic("error", f"self-edge on agent {i + 1}"))
+            if not isinstance(w, _REAL):
+                out.append(Diagnostic("error", f"{tag}: weight must be a real number, got {w!r}"))
+            elif not 0 <= w <= _FLOAT_MAX:
+                out.append(Diagnostic("error", f"{tag}: weight must be finite and >= 0, got {w}"))
     if not out:  # so the edges hold as arrays, each in range
-        # q_i as build_matrices sums it, so that a network passes here
-        # exactly when every diagonal entry of W is finite
-        rows, cols, weights = net.edge_arrays
-        dense = np.zeros((n, n))
-        dense[rows, cols] = weights
+        W = np.zeros((n, n))
+        W[rows, cols] -= weights  # the keys are unique, so each entry takes one weight
         with np.errstate(over="ignore"):
-            q = dense.sum(axis=1) + net.k
-        for i in np.flatnonzero(~np.isfinite(q)):
+            np.fill_diagonal(W, -W.sum(axis=1) + net.k)
+        W.setflags(write=False)
+        for i in np.flatnonzero(~np.isfinite(W.diagonal())):
             out.append(Diagnostic(
                 "error", f"agent {i + 1}: in-weights plus k sum beyond the float64 range"))
     if net.x0.shape == (n,) and np.all(np.isfinite(net.x0)):
@@ -186,22 +174,26 @@ def validate(net: InfluenceNetwork) -> list[Diagnostic]:
             out.append(Diagnostic(
                 "warning",
                 f"initial opinions outside [0, 1] (range [{low:g}, {high:g}]); accepted as-is"))
-    return out
+    return out, W
+
+
+def validate(net: InfluenceNetwork) -> list[Diagnostic]:
+    """Collect diagnostics; empty list means the instance is well formed.
+
+    Opinions outside [0, 1] yield warnings only: the dynamics are affine and
+    never clip, so the solver accepts them.
+    """
+    return _checked(net)[0]
 
 
 def build_matrices(net: InfluenceNetwork) -> np.ndarray:
     """Assemble the read-only coupling matrix W of a network: diagonal
     q_i = sum_j w_ij + k_i and off-diagonal entries -w_ij, so its rows sum
     to the stubbornness vector k."""
-    errors = [d for d in validate(net) if d.severity == "error"]
+    diagnostics, W = _checked(net)
+    errors = [d.message for d in diagnostics if d.severity == "error"]
     if errors:
-        raise ValueError("invalid network: " + "; ".join(d.message for d in errors))
-    n = int(net.n)
-    i, j, w = net.edge_arrays
-    W = np.zeros((n, n))
-    W[i, j] -= w  # the keys are unique, so each entry takes one weight
-    W[np.arange(n), np.arange(n)] = -W.sum(axis=1) + net.k
-    W.setflags(write=False)
+        raise ValueError("invalid network: " + "; ".join(errors))
     return W
 
 

@@ -311,21 +311,24 @@ def _propagate_general(net, grid):
     R = sqrtm(W).real  # scipy < 1.16 returns a complex array
     ET = expm(-grid[-1] * R)
     z = np.linalg.solve(np.eye(n) + ET @ ET, x0 - c)
-    # row j of Y is E(h)^j [z, w], transposed.  With step = E(h)^done,
-    # rows [done, 2 done) are rows [0, done) times step: ceil(log2 m)
-    # products fill the grid, squaring the step while rows remain
-    Y = np.empty((m, 2, n))
-    Y[0] = z, ET @ z
+    # row j of x is (E(h)^j z)^T and row m - 1 - j of p is (E(h)^j w)^T.
+    # With step = E(h)^done, the next done rows are the first done times
+    # step, p read from its end: ceil(log2 m) products fill the grid
+    x, p = np.empty((m, n)), np.empty((m, n))
+    x[0], p[-1] = z, ET @ z
     step, done = expm(-(grid[-1] / (m - 1)) * R).T, 1
     while done < m:
         k = min(done, m - done)
-        np.matmul(Y[:k].reshape(-1, n), step, out=Y[done:done + k].reshape(-1, n))
+        np.matmul(x[:k], step, out=x[done:done + k])
+        np.matmul(p[m - k:], step, out=p[m - done - k:m - done])
         done += k
         if done < m:
             step = step @ step
-    Y[-1, 0] = Y[0, 1]  # E(T) z is w by definition, so p(T) is exactly 0
-    ahead, behind = Y[:, 0], Y[::-1, 1]
-    return c + ahead + behind, (ahead - behind) @ R.T
+    x[-1] = p[-1]  # E(T) z is w by definition, so p(T) is exactly 0
+    d = x - p
+    x += c
+    x += p
+    return x, np.matmul(d, R.T, out=p)
 
 
 def _propagate_spectral(sd, net, grid):
@@ -341,8 +344,10 @@ def _propagate_spectral(sd, net, grid):
     straight into its rows of x and p."""
     T, m, n = grid[-1], len(grid), int(net.n)
     # W is diagonally dominant with a nonnegative diagonal, so its real
-    # spectrum is >= 0; a negative eigenvalue is roundoff around 0
-    lam = np.maximum(sd.lambdas, 0.0)
+    # spectrum is >= 0; an eigenvalue within n eps |W|_inf, the rounding of
+    # W's rows, is a 0 that must stay 0, or a conserved mode decays
+    zero = n * np.finfo(float).eps * np.linalg.norm(net.W, np.inf)
+    lam = np.where(sd.lambdas > zero, sd.lambdas, 0.0)
     y0, g = sd.Vinv @ net.x0, sd.Vinv @ (net.k * net.x0)
     s, x, p = np.sqrt(lam)[:, None], np.empty((m, n)), np.empty((m, n))
     rows = max(1, _BLOCK // n)

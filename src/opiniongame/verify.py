@@ -297,13 +297,10 @@ class _Transcription:
         return u
 
 
-def _chunks(net, traj):
-    """Walk the agents in chunks of _CHUNK // m (at least one), yielding each
-    chunk as a range with its _Transcription."""
+def _chunks(traj):
+    """The agents in chunks of _CHUNK // m (at least one), as ranges."""
     step = max(1, _CHUNK // len(traj.grid))
-    for start in range(0, traj.n, step):
-        chunk = range(start, min(start + step, traj.n))
-        yield chunk, _Transcription(net, traj, chunk)
+    return (range(start, min(start + step, traj.n)) for start in range(0, traj.n, step))
 
 
 def _best_responses(agents, model, traj):
@@ -363,8 +360,8 @@ def nash_residual(net: InfluenceNetwork, traj: EquilibriumTrajectory) -> float:
     chunk of agents is solved in one batch, one banded solve per distinct
     q_i.
     """
-    ratios = [_gap_ratios(agents, model, traj)
-              for agents, model in _chunks(net, traj)]
+    ratios = [_gap_ratios(agents, _Transcription(net, traj, agents), traj)
+              for agents in _chunks(traj)]
     return float(np.max(np.concatenate(ratios), initial=0.0))
 
 
@@ -494,9 +491,11 @@ def _certificate(net: InfluenceNetwork, traj: EquilibriumTrajectory, count: int,
     """
     basis = _probe_basis(traj)
     ratios, deviations = [], []
-    for agents, model in _chunks(net, traj):
+    for agents in _chunks(traj):
+        model = _Transcription(net, traj, agents)
         ratios.append(_gap_ratios(agents, model, traj))
         # Python ints, so that no seed wraps or overflows at any size
         deviations += _probe_gains(model, traj.u_rows(agents), basis, count,
                                    [seed + a for a in agents])
+        del model  # freed before the next chunk's is built, so one is alive at a time
     return float(np.max(np.concatenate(ratios), initial=0.0)), deviations

@@ -672,8 +672,8 @@ def test_verify_validates_a_fresh_network_once(monkeypatch, candidate):
     # PRESETS networks keep theirs across tests, so use a fresh copy
     net = replace(PRESETS["fig2b"].network)
     calls = []
-    original = network_module.validate
-    monkeypatch.setattr(network_module, "validate",
+    original = network_module._checked
+    monkeypatch.setattr(network_module, "_checked",
                         lambda net: calls.append(net) or original(net))
     report = cmd_verify(net, 301, count=5, seed=0, candidate=candidate)
     assert report.passed == (candidate is None)
@@ -764,15 +764,14 @@ def test_simulate_and_limits_classify_the_leader_preset_sparingly(tmp_path, monk
                                   ["verify", "--count", "5", "--samples", "301"]])
 def test_scenario_validates_at_load_and_at_first_w(tmp_path, monkeypatch, capsys, argv):
     # load_scenario validates to print warnings; the network's cached W
-    # validates once more on first use, and every later solve reuses it
+    # is checked once more on first use, and every later solve reuses it
     monkeypatch.chdir(tmp_path)  # simulate writes its CSV under --out = "."
     wide = replace(PRESETS["fig2b"].network, x0=[1.5] + [0.5] * 9)
     save_scenario(wide, "wide.json")
     calls = []
-    original = network_module.validate
-    spy = lambda net: calls.append(net) or original(net)  # noqa: E731
-    monkeypatch.setattr(network_module, "validate", spy)
-    monkeypatch.setattr(cli_module, "validate", spy)
+    original = network_module._checked
+    monkeypatch.setattr(network_module, "_checked",
+                        lambda net: calls.append(net) or original(net))
     assert main(argv + ["--scenario", "wide.json"]) == EXIT_OK
     assert len(calls) == 2 and calls[0] is calls[1]
     assert capsys.readouterr().err == (

@@ -2,6 +2,7 @@
 scenario schema."""
 
 import numbers
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -107,26 +108,42 @@ def per_edge_diagnostics(net):
 @pytest.mark.parametrize("extra, vectorized", [
     ({}, True), ({(np.int64(2), -1): 3.0}, True), ({(np.uint64(2), np.int64(0)): 3.0}, True),
     ({(1.5, 0): 3.0}, False), ({(np.bool_(True), 3): 3.0}, False)])
-def test_validate_reports_failing_edges_in_edge_order(extra, vectorized):
-    # with integer keys the checks run on the cached edge arrays and only the
-    # failing edges are walked for their messages; a key that is not a
-    # numbers.Integral (np.bool_ is not) sends every edge through the walk;
-    # either way the messages must match an edge-by-edge pass
+def test_validate_reports_failing_edges_in_edge_order(monkeypatch, extra, vectorized):
+    # with integer keys the checks run on edge arrays and only the failing
+    # edges, picked by itertools.compress, are walked for their messages; a
+    # key that is not a numbers.Integral (np.bool_ is not) sends every edge
+    # through the walk; either way the messages must match an edge-by-edge pass
     edges = {(0, 1): 1.0, (3, 3): -2, (1, 0): float("nan"), (0, 7): 1.0,
              (2, 1): 0.5, (1, 2): float("inf"), (2, 2): True, (-1, 0): 1.0, **extra}
     net = InfluenceNetwork(n=4, edges=edges, k=[0.1] * 4, x0=[0.5] * 4, T=1.0)
-    assert (net.edge_arrays is not None) == vectorized
+    picks = []
+    compress = network_module.itertools.compress
+    monkeypatch.setattr(network_module.itertools, "compress",
+                        lambda data, keep: picks.append(keep) or compress(data, keep))
     assert [str(d) for d in validate(net)] == per_edge_diagnostics(net)
+    assert bool(picks) == vectorized
 
 
-def test_edge_arrays_follow_the_edge_dict():
+@pytest.mark.parametrize("edge, message", [
+    ({(0, 1, 2): 1.0}, "edge key (0, 1, 2): must be a pair of agent indices"),
+    ({0: 1.0}, "edge key 0: must be a pair of agent indices"),
+    ({(0, 1): "a"}, "edge (1, 2): weight must be a real number, got 'a'"),
+    ({(0, 1): None}, "edge (1, 2): weight must be a real number, got None"),
+    ({(0, 1): 1 + 2j}, "edge (1, 2): weight must be a real number, got (1+2j)"),
+    ({(0, 1): [1.0]}, "edge (1, 2): weight must be a real number, got [1.0]"),
+])
+def test_validate_reports_malformed_edges(edge, message):
+    # a key that is not a pair or a weight that is not a real number is an
+    # error diagnostic like any other, never an exception from the checks
+    net = InfluenceNetwork(n=3, edges={(1, 0): 1.0, **edge}, k=[0.1] * 3,
+                           x0=[0.5] * 3, T=1.0)
+    assert [str(d) for d in validate(net)] == [f"error: {message}"]
+    with pytest.raises(ValueError, match=re.escape(f"invalid network: {message}")):
+        net.W
+
+
+def test_matrices_follow_the_edge_dict():
     net = random_net(np.random.default_rng(4), n=7)
-    i, j, w = net.edge_arrays
-    assert list(zip(i.tolist(), j.tolist())) == list(net.edges)
-    assert w.tolist() == list(net.edges.values())
-    assert net.edge_arrays is net.edge_arrays
-    with pytest.raises(ValueError):
-        w[0] = 1.0
     W = np.zeros((7, 7))
     for (a, b), weight in net.edges.items():
         W[a, b] -= weight
@@ -195,8 +212,8 @@ def test_network_fields_are_read_only():
 def test_matrices_are_assembled_once_per_instance(monkeypatch):
     net = complete_uniform_net(3, 1.0, 0.5, [0.1, 0.5, 0.9], 2.0)
     calls = []
-    original = network_module.validate
-    monkeypatch.setattr(network_module, "validate",
+    original = network_module._checked
+    monkeypatch.setattr(network_module, "_checked",
                         lambda net: calls.append(net) or original(net))
     assert net.W is net.W
     assert len(calls) == 1

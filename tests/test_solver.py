@@ -478,9 +478,24 @@ def test_general_route_holds_no_gain_per_sample():
     finally:
         tracemalloc.stop()
     # one n x n matrix per sample would take 8 m n^2 bytes (40 MB); the
-    # grid itself holds x, p and the (m, 2, n) rows it is built from
+    # grid itself holds x, p and their difference
     assert peak < m * n * n * 8
     assert peak < 6 * 8 * m * n
+
+
+def test_general_route_fills_x_and_p_in_place():
+    # x and p take 2 (8 m n) bytes and their difference one more; a table of
+    # both halves beside them would take about 5
+    n, m = 200, 8001
+    net = directed_net(np.random.default_rng(1), n, 5.0)
+    tracemalloc.start()
+    try:
+        with general_route():
+            solve_equilibrium(net, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * m * n
 
 
 def needed_steps(net):
@@ -693,6 +708,35 @@ def test_routes_agree_where_eigh_returns_a_negative_eigenvalue():
         b = solve_equilibrium(net, 201)
     assert np.max(np.abs(a.x - b.x)) <= 1e-10
     assert np.max(np.abs(a.p - b.p)) <= 1e-10
+
+
+def conserving_net(family, n, T):
+    """k = 0 on every agent, so W has an exact zero eigenvalue and a conserved
+    mode: a complete symmetric net (eigh), or a 2-cycle that each later agent
+    follows one end of (eig; the spectrum stays real and well separated)."""
+    rng = np.random.default_rng([n, int(T)])
+    if family == "symmetric":
+        edges = symmetric_net(rng, n, T, p=1.0).edges
+    else:
+        edges = {(0, 1): float(rng.uniform(0.2, 0.6)), (1, 0): float(rng.uniform(0.2, 0.6))}
+        edges.update({(i, i % 2): i + float(rng.uniform(0.0, 0.5)) for i in range(2, n)})
+    return InfluenceNetwork(n=n, edges=edges, k=np.zeros(n), x0=rng.uniform(0.0, 1.0, n), T=T)
+
+
+@pytest.mark.parametrize("family", ["symmetric", "2-cycle with followers"])
+@pytest.mark.parametrize("T", [5.0, 400.0, 1e4, 1e5])
+def test_routes_agree_on_a_conserved_mode_at_long_horizons(family, T):
+    # eig and eigh return the zero eigenvalue as up to a few eps |W|; were it
+    # kept, the conserved mode would decay and x drift by about eps |W| T^2
+    for n in range(2, 10):
+        net = conserving_net(family, n, T)
+        sd = spectral_data(net.W, classify_topology(net))
+        assert sd is not None
+        a = solve_equilibrium(net, 201)
+        with general_route():
+            b = solve_equilibrium(net, 201)
+        assert np.max(np.abs(a.x - b.x)) <= 1e-12, n
+        assert np.max(np.abs(a.p - b.p)) <= 1e-12, n
 
 
 # ---------------------------------------------------------------------------

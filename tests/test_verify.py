@@ -3,6 +3,7 @@ and deviation probes."""
 
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -377,8 +378,8 @@ def test_verifier_validates_network_once_per_call(fig1b_net, monkeypatch):
     traj = solve_equilibrium(fig1b_net, 201)
     net = replace(fig1b_net)  # a fresh instance: the solve cached fig1b_net's W
     calls = []
-    original = network_module.validate
-    monkeypatch.setattr(network_module, "validate",
+    original = network_module._checked
+    monkeypatch.setattr(network_module, "_checked",
                         lambda net: calls.append(net) or original(net))
     nash_residual(net, traj)
     assert len(calls) == 1
@@ -438,8 +439,8 @@ def test_verifier_reuses_network_matrices(fig1b_net, monkeypatch):
     ref_traj, expected = run(replace(fig1b_net))
     net = replace(fig1b_net)
     calls = []
-    original = network_module.validate
-    monkeypatch.setattr(network_module, "validate",
+    original = network_module._checked
+    monkeypatch.setattr(network_module, "_checked",
                         lambda net: calls.append(net) or original(net))
     traj, got = run(net)
     assert len(calls) == 1 and calls[0] is net
@@ -906,6 +907,28 @@ def test_lost_stationarity_names_the_first_agent(fig1b_net, monkeypatch, capsys)
     assert captured.out == ""
     assert captured.err.startswith(
         "solver error: best-response solve did not reach stationarity for agent 1: ")
+
+
+@pytest.mark.parametrize("certify", [nash_residual, lambda net, traj: _certificate(net, traj, 5, 0)],
+                         ids=["nash_residual", "certificate"])
+def test_verifier_holds_one_transcription_at_a_time(certify, monkeypatch):
+    net = random_net(np.random.default_rng(8), n=20)
+    traj = solve_equilibrium(net, 101)
+    monkeypatch.setattr(verify_module, "_CHUNK", 4 * 101)  # five chunks
+    expected = certify(net, traj)
+    models, alive = [], []
+
+    class Counted(_Transcription):
+        def __init__(self, *args):
+            alive.append(sum(model() is not None for model in models))
+            super().__init__(*args)
+            models.append(weakref.ref(self))
+
+    monkeypatch.setattr(verify_module, "_Transcription", Counted)
+    got = certify(net, traj)
+    # each chunk's model is built once the previous one is gone
+    assert alive == [0] * 5
+    assert got == expected
 
 
 @pytest.mark.parametrize("kind, rows, bound", [("complete", None, 8.0),
