@@ -9,8 +9,7 @@ from .network import (CompleteUniform, Diagnostic, InfluenceNetwork,
                       SingleLeader, build_matrices, classify_topology,
                       network_from_dict, network_to_dict, validate)
 from .solver import (BlockTransition, EquilibriumTrajectory, SpectralData,
-                     assemble_system, kernel_cosh, kernel_coshm1,
-                     kernel_sinhc, solve_equilibrium, spectral_data,
+                     assemble_system, solve_equilibrium, spectral_data,
                      transition_blocks)
 from .verify import (BestResponseResult, CostBreakdown, StationarityReport,
                      best_response, deviation_test, evaluate_cost,

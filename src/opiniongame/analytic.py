@@ -18,7 +18,9 @@ leader_params classify a network and require the one family.  Both
 trajectory functions take a scalar or an array t and return opinions of
 shape t.shape + (n,), so a whole grid costs one call.  Both families obey
 one shrink law, (k + w R(t))/l with R(t) = cosh(sqrt(l)(T-t))/cosh(sqrt(l) T),
-so an eps-consensus time inverts R explicitly through arccosh.
+so an eps-consensus time inverts R explicitly through arccosh, and
+consensus_times answers every rate of a family and every eps from one
+evaluation of R.
 """
 
 from __future__ import annotations
@@ -50,9 +52,39 @@ def leader_params(net: InfluenceNetwork) -> SingleLeader:
 def shrink(lam, k, w, T, t=None):
     """The shrink law (k + w R(t))/lam, as k/lam + (w/lam) R(t): the factor
     that scales a deviation at time t, or in the long run (R = 0) for
-    t = None.  1 where lam = 0: with neither rate, nothing moves."""
-    R = 0.0 if t is None else cosh_ratios(lam, T - np.asarray(t, dtype=float), T)[0]
-    return np.ones_like(R) if lam == 0.0 else k / lam + (w / lam) * R
+    t = None; 1 where the rate lam = k + w is 0, as nothing moves.  lam, k
+    and w may be arrays over rates: shape np.shape(t) + np.shape(lam)."""
+    R = 0.0
+    if t is not None:  # t's axes first, then lam's
+        t = np.asarray(t, dtype=float)
+        R = cosh_ratios(lam, T - t.reshape(t.shape + (1,) * np.ndim(lam)), T)[0]
+    idle = lam == 0.0  # so k = w = 0, and the ratio terms below are 0
+    rate = lam + idle
+    return k / rate + (w / rate) * R + idle
+
+
+def consensus_times(p, x0, eps_list):
+    """The shrink law at t = T of every rate of the family p, and per eps in
+    eps_list the earliest t in [0, T] with shrink(t) dist <= eps per rate, or
+    None where the horizon ends first.  A CompleteUniform has one rate, with
+    dist the largest deviation from the average; a SingleLeader has one per
+    follower, with dist its gap to the leader.  One cosh_ratios call gives
+    every rate's shrink at t = 0 and t = T, which every eps shares;
+    _ratio_time runs only where a time falls strictly inside (0, T)."""
+    for eps in eps_list:
+        _check_eps(eps)
+    x0 = _check_x0(p.n, x0)
+    if isinstance(p, CompleteUniform):
+        spread = np.max(np.abs(x0 - x0.mean()))
+        lam, k, w, dist = np.array([[p.lambda1], [p.k], [p.n * p.w], [spread]])
+    else:
+        lam, k, w, dist = p.lam[1:], p.k[1:], p.w1[1:], np.abs(x0[1:] - x0[0])
+    ends = shrink(lam, k, w, p.T, [0.0, p.T])
+    first, last = ends * dist
+    times = [[0.0 if a <= eps else None if b > eps else _ratio_time(*rate, p.T, eps / d)
+              for a, b, d, rate in zip(first, last, dist, zip(lam, k, w))]
+             for eps in eps_list]
+    return ends[1], times
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +118,7 @@ def epsilon_consensus_time(p: CompleteUniform, x0, eps):
     network never gets that close on this horizon (with stubborn agents it
     never will on any horizon once eps < (k/l1) * max deviation).
     """
-    _check_eps(eps)
-    x0 = _check_x0(p.n, x0)
-    spread = float(np.max(np.abs(x0 - x0.mean())))
-    return _consensus_time(p.lambda1, p.k, p.n * p.w, p.T, spread, eps)
+    return consensus_times(p, x0, [eps])[1][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +132,8 @@ def leader_trajectory(p: SingleLeader, x0, t) -> np.ndarray:
     _check_time(p.T, t)
     x0 = _check_x0(p.n, x0)
     coef = np.divide(p.w1, p.lam, out=np.zeros(p.n), where=p.lam > 0.0)
-    xi = coef * cosh_ratios(p.lam, p.T - np.asarray(t, dtype=float)[..., None], p.T)[0]
+    rates, col = np.unique(p.lam, return_inverse=True)  # each distinct rate once
+    xi = coef * cosh_ratios(rates, p.T - np.asarray(t, dtype=float)[..., None], p.T)[0][..., col]
     return leader_limit(p, x0) + xi * (x0 - x0[0])
 
 
@@ -127,7 +157,10 @@ def leader_distance(p: SingleLeader, i, x0, t) -> float:
 def leader_consensus_time(p: SingleLeader, i, x0, eps):
     """Earliest t with follower i within eps of the leader's opinion, or None."""
     _check_eps(eps)
-    return _consensus_time(p.lam[i], p.k[i], p.w1[i], p.T, _leader_gap(p, i, x0), eps)
+    _leader_gap(p, i, x0)
+    pair = [0, i]  # the leader and follower i alone
+    alone = SingleLeader(k=p.k[pair], w1=p.w1[pair], T=p.T)
+    return consensus_times(alone, np.asarray(x0, dtype=float)[pair], [eps])[1][0][0]
 
 
 def _leader_gap(p: SingleLeader, i, x0) -> float:
@@ -136,15 +169,6 @@ def _leader_gap(p: SingleLeader, i, x0) -> float:
         raise ValueError("follower index must be in 1..n-1")
     x0 = _check_x0(p.n, x0)
     return abs(float(x0[i] - x0[0]))
-
-
-def _consensus_time(lam, k, w, T, dist, eps):
-    """Earliest t in [0, T] with shrink(lam, k, w, T, t) dist <= eps, or None."""
-    if shrink(lam, k, w, T, 0.0) * dist <= eps:
-        return 0.0
-    if shrink(lam, k, w, T, T) * dist > eps:
-        return None
-    return _ratio_time(lam, k, w, T, eps / dist)
 
 
 def _ratio_time(lam, k, w, T, level):

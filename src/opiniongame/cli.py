@@ -469,23 +469,20 @@ def cmd_limits(net: InfluenceNetwork, eps_list) -> str:
     if isinstance(params, CompleteUniform):
         limit = analytic.complete_limit(params, net.x0)
         lines.append("long-run limits: " + " ".join(f"{v:.6f}" for v in limit))
-        lines.append(f"terminal distance ratio gamma(T): {analytic.gamma(params, params.T):.6e}")
+        gamma_T, times = analytic.consensus_times(params, net.x0, eps_list)
+        lines.append(f"terminal distance ratio gamma(T): {gamma_T[0]:.6e}")
         ratio = analytic.shrink(params.lambda1, params.k, params.n * params.w, params.T)
         lines.append(f"long-run distance ratio k/lambda1: {ratio:.6e}")
-        for eps in eps_list:
-            t = analytic.epsilon_consensus_time(params, net.x0, eps)
+        for eps, (t,) in zip(eps_list, times):
             lines.append(f"eps={eps:g}: consensus time "
                          + (f"{t:.6f}" if t is not None else "not reached"))
     elif isinstance(params, SingleLeader):
         limit = analytic.leader_limit(params, net.x0)
         lines.append("long-run limits: " + " ".join(f"{v:.6f}" for v in limit))
-        for i in range(1, params.n):
-            ratio = analytic.shrink(params.lam[i], params.k[i], params.w1[i], params.T)
-            lines.append(f"agent {i + 1}: long-run distance ratio to leader "
-                         f"{ratio:.6e}")
-        for eps in eps_list:
-            times = [analytic.leader_consensus_time(params, i, net.x0, eps)
-                     for i in range(1, params.n)]
+        ratios = analytic.shrink(params.lam[1:], params.k[1:], params.w1[1:], params.T)
+        for i, ratio in enumerate(ratios, 2):
+            lines.append(f"agent {i}: long-run distance ratio to leader {ratio:.6e}")
+        for eps, times in zip(eps_list, analytic.consensus_times(params, net.x0, eps_list)[1]):
             txt = " ".join("never" if t is None else f"{t:.4f}" for t in times)
             lines.append(f"eps={eps:g}: per-follower times to leader: {txt}")
     else:

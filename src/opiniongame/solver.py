@@ -44,8 +44,7 @@ _BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
-# the cosh-ratio family, used by the spectral route and the closed forms, and
-# the kernels: entire functions of z = lambda t^2 built on the same phi
+# the cosh-ratio family, used by the spectral route and the closed forms
 
 
 def _phi(w):
@@ -85,35 +84,6 @@ def cosh_ratios(lam, a, b):
     den, cosh, sinhc, gap = _ratio_numerators(np.sqrt(lam), a, b)
     sinhc = sinhc / den
     return cosh / den, lam * sinhc, sinhc, gap / den
-
-
-def kernel_sinhc(lam, t):
-    """sinh(sqrt(lam) t)/sqrt(lam); the lam -> 0 limit is t.
-
-    This is t s(z) with z = lam t^2 and s(z) = sinh(sqrt z)/sqrt z, entire in
-    z: s = e^a phi(2a) for z = a^2 >= 0 and sinc(a/pi) for z = -a^2 < 0.
-    Each sign is evaluated only on its own entries, so a large negative z
-    never reaches exp."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(lam * np.square(t), dtype=float)
-    s = np.empty_like(z)
-    pos = z >= 0.0
-    a = np.sqrt(z[pos])
-    s[pos] = np.exp(a) * _phi(-2.0 * a)
-    s[~pos] = np.sinc(np.sqrt(-z[~pos]) / np.pi)
-    out = t * s
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def kernel_coshm1(lam, t):
-    """(cosh(sqrt(lam) t) - 1)/lam = 2 sinh^2(sqrt(lam) t/2)/lam; the
-    lam -> 0 limit is t^2/2."""
-    return 2.0 * kernel_sinhc(lam, 0.5 * np.asarray(t, dtype=float)) ** 2
-
-
-def kernel_cosh(lam, t):
-    """cosh(sqrt(lam) t); cos(sqrt(-lam) t) for lam < 0; 1 at lam = 0."""
-    return 1.0 + lam * kernel_coshm1(lam, t)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +319,14 @@ def _propagate_spectral(sd, net, grid):
     zero = n * np.finfo(float).eps * np.linalg.norm(net.W, np.inf)
     lam = np.where(sd.lambdas > zero, sd.lambdas, 0.0)
     y0, g = sd.Vinv @ net.x0, sd.Vinv @ (net.k * net.x0)
-    s, x, p = np.sqrt(lam)[:, None], np.empty((m, n)), np.empty((m, n))
+    # each distinct rate is evaluated once, and read for every mode it has
+    rates, mode_rows = np.unique(lam, return_inverse=True)
+    if len(rates) == n:
+        rates, mode_rows = lam, slice(None)
+    s, x, p = np.sqrt(rates)[:, None], np.empty((m, n)), np.empty((m, n))
     rows = max(1, _BLOCK // n)
     for lo in range(0, m, rows):
-        den, Y, Q, gap = _ratio_numerators(s, T - grid[lo:lo + rows], T)
+        den, Y, Q, gap = (a[mode_rows] for a in _ratio_numerators(s, T - grid[lo:lo + rows], T))
         Y *= y0[:, None] / den
         Y += np.multiply(gap, g[:, None] / den, out=gap)
         Q *= (lam * y0 - g)[:, None] / den

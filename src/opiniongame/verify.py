@@ -264,20 +264,21 @@ class _Transcription:
         rows with multipliers lambda_j.  Ordering the unknowns
         u_0, (x_j, lambda_j, u_j) for j = 1 .. m-1 makes the symmetric KKT
         matrix banded with bandwidth 4, so one LU solve costs O(m).  Only the
-        x diagonal q_i s_j depends on the agent: the band is built once, and
-        the agents that share one exact value of q make one banded solve
-        with their forcings as right-hand-side columns.
+        x diagonal q_i s_j depends on the agent: the band is built once, in
+        LAPACK gbsv's layout, and the agents that share one exact value of q
+        make one banded solve with their forcings as right-hand-side columns.
+        A non-finite system raises ValueError, a singular one LinAlgError.
         """
-        from scipy.linalg import solve_banded
+        from scipy.linalg.lapack import dgbsv
 
         m, h, s = len(self.s), self.h, self.s
         iu = 3 * np.arange(m)
         ix, il = iu[1:] - 2, iu[1:] - 1
-        ab = np.zeros((9, 3 * m - 2))
+        ab = np.zeros((13, 3 * m - 2), order="F")  # 4 rows of LU fill-in on top
 
         def put(rows, cols, vals):  # symmetric pair in LAPACK band storage
-            ab[4 + rows - cols, cols] = vals
-            ab[4 + cols - rows, rows] = vals
+            ab[8 + rows - cols, cols] = vals
+            ab[8 + cols - rows, rows] = vals
 
         put(iu, iu, self.energy)
         put(iu[:-1], iu[1:], h / 6.0)
@@ -289,11 +290,16 @@ class _Transcription:
         values, group = np.unique(self.q, return_inverse=True)
         for g, value in enumerate(values):
             rows = np.flatnonzero(group == g)
-            ab[4, ix] = value * s[1:]  # the x diagonal, q s_j
+            ab[8, ix] = value * s[1:]  # the x diagonal, q s_j
             rhs = np.zeros((len(rows), 3 * m - 2))  # one row per agent
             np.multiply(s[1:], self.b[rows, 1:], out=rhs[:, 1::3])  # at the x_j
             rhs[:, 2] = self.x0i[rows]  # at lambda_1: x_1 - h (u_0 + u_1) / 2 = x0_i
-            u[rows] = solve_banded((4, 4), ab, rhs.T, overwrite_b=True)[::3].T
+            if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+                raise ValueError("array must not contain infs or NaNs")
+            x, info = dgbsv(4, 4, ab, rhs.T, overwrite_b=True)[2:]  # LU in a copy of ab
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            u[rows] = x[::3].T
         return u
 
 

@@ -12,6 +12,39 @@ from opiniongame.network import InfluenceNetwork
 X0_LADDER = np.array([0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95])
 
 
+# the kernels of acceptance criterion 10: entire functions of z = lambda t^2
+# built on the solver's phi
+
+
+def kernel_sinhc(lam, t):
+    """sinh(sqrt(lam) t)/sqrt(lam); the lam -> 0 limit is t.
+
+    This is t s(z) with z = lam t^2 and s(z) = sinh(sqrt z)/sqrt z, entire in
+    z: s = e^a phi(2a) for z = a^2 >= 0 and sinc(a/pi) for z = -a^2 < 0.
+    Each sign is evaluated only on its own entries, so a large negative z
+    never reaches exp."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(lam * np.square(t), dtype=float)
+    s = np.empty_like(z)
+    pos = z >= 0.0
+    a = np.sqrt(z[pos])
+    s[pos] = np.exp(a) * solver._phi(-2.0 * a)
+    s[~pos] = np.sinc(np.sqrt(-z[~pos]) / np.pi)
+    out = t * s
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def kernel_coshm1(lam, t):
+    """(cosh(sqrt(lam) t) - 1)/lam = 2 sinh^2(sqrt(lam) t/2)/lam; the
+    lam -> 0 limit is t^2/2."""
+    return 2.0 * kernel_sinhc(lam, 0.5 * np.asarray(t, dtype=float)) ** 2
+
+
+def kernel_cosh(lam, t):
+    """cosh(sqrt(lam) t); cos(sqrt(-lam) t) for lam < 0; 1 at lam = 0."""
+    return 1.0 + lam * kernel_coshm1(lam, t)
+
+
 def complete_uniform_net(n, w, k, x0, T, name=""):
     edges = {(i, j): float(w) for i in range(n) for j in range(n) if i != j}
     return InfluenceNetwork(n=n, edges=edges, k=np.full(n, float(k)),

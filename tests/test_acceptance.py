@@ -7,15 +7,14 @@ lines interleaved with the test names.
 
 import numpy as np
 
-from conftest import X0_LADDER, complete_uniform_net, leader_net, random_net
+from conftest import (X0_LADDER, complete_uniform_net, kernel_cosh, kernel_coshm1,
+                      kernel_sinhc, leader_net, random_net)
 from opiniongame.analytic import (complete_limit, complete_params,
                                   complete_trajectory, gamma, leader_limit,
                                   leader_params, leader_trajectory)
 from opiniongame.cli import PRESETS
 from opiniongame.network import build_matrices
-from opiniongame.solver import (assemble_system, kernel_cosh, kernel_coshm1,
-                                kernel_sinhc, solve_equilibrium,
-                                transition_blocks)
+from opiniongame.solver import assemble_system, solve_equilibrium, transition_blocks
 from opiniongame.verify import (deviation_test, evaluate_cost, nash_residual,
                                 quadratic_cost)
 

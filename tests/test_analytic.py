@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import X0_LADDER, complete_uniform_net, general_route, leader_net
 import opiniongame.analytic as analytic_module
+from opiniongame import solver
 from opiniongame.analytic import (complete_limit, complete_params,
-                                  complete_trajectory, epsilon_consensus_time,
-                                  gamma, leader_consensus_time, leader_distance,
-                                  leader_limit, leader_params, leader_trajectory)
-from opiniongame.cli import PRESETS, closed_form_deviation
+                                  complete_trajectory, consensus_times,
+                                  epsilon_consensus_time, gamma,
+                                  leader_consensus_time, leader_distance,
+                                  leader_limit, leader_params, leader_trajectory,
+                                  shrink)
+from opiniongame.cli import PRESETS, closed_form_deviation, cmd_limits
 from opiniongame.network import CompleteUniform, SingleLeader
 from opiniongame.solver import cosh_ratios, solve_equilibrium
 
@@ -368,6 +371,69 @@ def test_consensus_times_reject_eps_outside_open_interval(eps):
     p = leader_params(PRESETS["fig2b"].network)
     with pytest.raises(ValueError, match="eps"):
         leader_consensus_time(p, 3, X0_LADDER, eps)
+
+
+# ---------------------------------------------------------------------------
+# consensus times: every rate and every eps from one evaluation of the ratios
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig2b", "fig2c", "star of 40"])
+def test_limits_evaluates_the_ratios_once_per_family(name, monkeypatch):
+    # one _ratio_numerators call, whatever n and the number of eps; the
+    # per-follower, per-endpoint, per-eps calls made 5 and 9 on fig1b, and
+    # 35 and 69 on fig2b and fig2c
+    net = (leader_net(40, np.linspace(0.1, 4.0, 40), 0.2, np.linspace(0.0, 1.0, 40), 5.0)
+           if name == "star of 40" else PRESETS[name].network)
+    calls = []
+    original = solver._ratio_numerators
+    monkeypatch.setattr(solver, "_ratio_numerators",
+                        lambda *args: calls.append(args) or original(*args))
+    for eps_list in ([0.1, 0.01], [0.3, 0.05, 0.001, 1e-5]):
+        calls.clear()
+        cmd_limits(net, eps_list)
+        assert len(calls) == 1
+
+
+def consensus_time_reference(p, i, x0, eps):
+    """Follower i alone: its shrink at t = 0 and t = T, then the explicit
+    inversion between them."""
+    rate = (p.lam[i], p.k[i], p.w1[i], p.T)
+    dist = abs(float(x0[i] - x0[0]))
+    if shrink(*rate, 0.0) * dist <= eps:
+        return 0.0
+    if shrink(*rate, p.T) * dist > eps:
+        return None
+    return analytic_module._ratio_time(*rate, eps / dist)
+
+
+followers = st.tuples(st.sampled_from(["k = 0", "w = 0", "lam = 0", "dist = 0", "any"]),
+                      st.floats(0.0, 1.0), st.floats(0.01, 5.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.lists(followers, min_size=1, max_size=9), T=st.floats(0.1, 50.0),
+       lead=st.floats(0.0, 1.0), eps_list=st.lists(st.floats(1e-8, 1.0), min_size=1, max_size=4))
+@example(drawn=[("lam = 0", 0.5, 1.0, 0.9), ("any", 0.1, 2.0, 0.2)], T=1.0, lead=0.1,
+         eps_list=[0.5, 0.01])
+def test_consensus_times_match_each_follower_alone_property(drawn, T, lead, eps_list):
+    k, w1, x0 = [0.3], [0.0], [lead]
+    for kind, kf, wf, xf in drawn:
+        k.append(0.0 if kind in ("k = 0", "lam = 0") else kf)
+        w1.append(0.0 if kind in ("w = 0", "lam = 0") else wf)
+        x0.append(lead if kind == "dist = 0" else xf)
+    p, x0 = SingleLeader(k=np.array(k), w1=np.array(w1), T=T), np.array(x0)
+    at_T, times = consensus_times(p, x0, eps_list)
+    assert np.array_equal(at_T, [shrink(*rate, T, T) for rate in zip(p.lam, p.k, p.w1)][1:])
+    assert len(times) == len(eps_list)
+    for eps, row in zip(eps_list, times):
+        assert len(row) == p.n - 1
+        for i, t in enumerate(row, 1):
+            assert t == consensus_time_reference(p, i, x0, eps)
+            assert t == leader_consensus_time(p, i, x0, eps)
+            if t is None:  # eps is not reached on this horizon
+                assert leader_distance(p, i, x0, T) > eps
+            else:
+                assert 0.0 <= t <= T
 
 
 # ---------------------------------------------------------------------------

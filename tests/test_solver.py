@@ -14,17 +14,15 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (complete_uniform_net, general_route, leader_net, random_net,
-                      symmetric_net)
+from conftest import (complete_uniform_net, general_route, kernel_cosh, kernel_coshm1,
+                      kernel_sinhc, leader_net, random_net, symmetric_net)
 from opiniongame import solver
 from opiniongame.analytic import leader_params, leader_trajectory
 from opiniongame.cli import PRESETS, load_scenario
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (BlockTransition, assemble_system,
-                                cosh_ratios, kernel_cosh, kernel_coshm1, kernel_sinhc,
-                                solve_equilibrium, spectral_data,
-                                transition_blocks)
+from opiniongame.solver import (BlockTransition, assemble_system, cosh_ratios,
+                                solve_equilibrium, spectral_data, transition_blocks)
 from opiniongame.verify import BOUNDARY_TOL, stationarity_check
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -795,6 +793,46 @@ def test_blocked_spectral_route_matches_per_mode_oracle_property(seed, n, family
     x_ref, p_ref = per_mode_spectral(sd, net, grid)
     assert np.max(np.abs(x - x_ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(x_ref))))
     assert np.max(np.abs(p - p_ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(p_ref))))
+
+
+def each_mode_alone(sd, net, grid):
+    """The spectral route's own arithmetic, block by block, with every mode's
+    numerators evaluated alone, so a repeated rate is evaluated repeatedly."""
+    T, n = grid[-1], net.n
+    zero = n * np.finfo(float).eps * np.linalg.norm(net.W, np.inf)
+    lam = np.where(sd.lambdas > zero, sd.lambdas, 0.0)
+    y0, g = sd.Vinv @ net.x0, sd.Vinv @ (net.k * net.x0)
+    x, p = np.empty((len(grid), n)), np.empty((len(grid), n))
+    rows = max(1, solver._BLOCK // n)
+    for lo in range(0, len(grid), rows):
+        modes = [solver._ratio_numerators(np.sqrt(lam[j:j + 1])[:, None], T - grid[lo:lo + rows], T)
+                 for j in range(n)]
+        den, Y, Q, gap = (np.concatenate(part) for part in zip(*modes))
+        Y = Y * (y0[:, None] / den) + gap * (g[:, None] / den)
+        Q = Q * ((lam * y0 - g)[:, None] / den)
+        np.matmul(Y.T, sd.V.T, out=x[lo:lo + rows])
+        np.matmul(Q.T, sd.V.T, out=p[lo:lo + rows])
+    return x, p
+
+
+@pytest.mark.parametrize("m", [21, 501, 8001])
+@pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2b", "fig2c"])
+def test_repeated_rates_share_numerators_bitwise(name, m, monkeypatch):
+    # the exact basis (fig1) and eig on the star (fig2) both give 2 distinct
+    # rates of 10; each is evaluated once, with the same bits as ten times
+    net = PRESETS[name].network
+    sd = spectral_data(net.W, classify_topology(net))
+    assert len(np.unique(sd.lambdas)) == 2
+    grid = np.linspace(0.0, net.T, m)
+    rows = []
+    original = solver._ratio_numerators
+    monkeypatch.setattr(solver, "_ratio_numerators",
+                        lambda s, a, b: rows.append(len(s)) or original(s, a, b))
+    x, p = solver._propagate_spectral(sd, net, grid)
+    assert set(rows) == {2}
+    monkeypatch.undo()
+    x_ref, p_ref = each_mode_alone(sd, net, grid)
+    assert np.array_equal(x, x_ref) and np.array_equal(p, p_ref)
 
 
 def test_spectral_route_holds_no_per_mode_arrays():

@@ -883,18 +883,47 @@ def test_lattice_example_repeats_q_and_has_free_agents():
                                           ("random", 9)])
 def test_nash_residual_makes_one_banded_solve_per_distinct_q(name, solves, monkeypatch):
     # fig3b's two follower camps have q = 17.1 up to roundoff: three solves
-    import scipy.linalg
+    import scipy.linalg.lapack
     net = (random_net(np.random.default_rng(5), n=9) if name == "random"
            else PRESETS[name].network)
     traj = solve_equilibrium(net, 101)
     columns = []
-    original = scipy.linalg.solve_banded
-    monkeypatch.setattr(scipy.linalg, "solve_banded",
-                        lambda lu, ab, b, **kw: columns.append(b.shape[1]) or
-                        original(lu, ab, b, **kw))
+    original = scipy.linalg.lapack.dgbsv
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbsv",
+                        lambda kl, ku, ab, b, **kw: columns.append(b.shape[1]) or
+                        original(kl, ku, ab, b, **kw))
     nash_residual(net, traj)
     assert len(columns) == solves == len(np.unique(net.W.diagonal()))
     assert sum(columns) == net.n
+
+
+@pytest.mark.parametrize("m", [501, 1001])
+@pytest.mark.parametrize("name", ["fig1b", "fig3b"])
+def test_direct_banded_solve_matches_solve_banded(name, m, monkeypatch):
+    import scipy.linalg
+    import scipy.linalg.lapack
+    net = PRESETS[name].network
+    model = _Transcription(net, solve_equilibrium(net, m), np.arange(net.n))
+    direct = model.minimize()
+    # the same band and right-hand sides through scipy's checked wrapper,
+    # which takes the band without gbsv's kl rows of fill-in
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbsv", lambda kl, ku, ab, b, **kw: (
+        None, None, scipy.linalg.solve_banded((kl, ku), ab[kl:], b), 0))
+    assert np.array_equal(direct, model.minimize())
+
+
+def test_banded_solve_keeps_its_errors(fig1b_net, monkeypatch):
+    import scipy.linalg.lapack
+    traj = solve_equilibrium(fig1b_net, 101)
+    x = traj.x.copy()
+    x[40, 3] = np.nan  # a non-finite forcing for every rival of agent 4
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _Transcription(fig1b_net, replace(traj, x=x), np.arange(3)).minimize()
+    original = scipy.linalg.lapack.dgbsv
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbsv",
+                        lambda *args, **kw: original(*args, **kw)[:3] + (1,))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _Transcription(fig1b_net, traj, np.arange(3)).minimize()
 
 
 def test_lost_stationarity_names_the_first_agent(fig1b_net, monkeypatch, capsys):
