@@ -4,13 +4,11 @@ influence networks."""
 from .analytic import (complete_limit, complete_params, complete_trajectory,
                        epsilon_consensus_time, gamma, leader_distance,
                        leader_limit, leader_params, leader_trajectory)
-from .linalg import SingularMatrixError, exp_with_integral, solve_linear
 from .network import (CompleteUniform, Diagnostic, InfluenceNetwork,
                       SingleLeader, build_matrices, classify_topology,
                       network_from_dict, network_to_dict, validate)
-from .solver import (BlockTransition, EquilibriumTrajectory, SpectralData,
-                     assemble_system, solve_equilibrium, spectral_data,
-                     transition_blocks)
+from .solver import (EquilibriumTrajectory, SpectralData, solve_equilibrium,
+                     spectral_data)
 from .verify import (BestResponseResult, CostBreakdown, StationarityReport,
                      best_response, deviation_test, evaluate_cost,
                      nash_residual, quadratic_cost, stationarity_check)

@@ -2,8 +2,8 @@
 
 No game semantics live here; everything operates on plain square matrices.
 scipy is imported inside the functions that call it, so importing this
-module, and every module that needs only SingularMatrixError, loads numpy
-alone.
+module loads numpy alone.  Neither route calls these kernels; each public
+one's docstring names the criterion or the frozen benchmark line that keeps it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 
 
 class SingularMatrixError(ValueError):
-    """A linear solve met a matrix that is singular to working tolerance."""
+    """A linear solve met a matrix that is singular to working tolerance.
+    Kept for bench/workloads.py:21,35, which count it as a refusal."""
 
     def __init__(self, message, rcond=None):
         super().__init__(message)
@@ -35,6 +36,7 @@ def exp_with_integral(M, t):
 
     The pair appears as the top block row of exp([[M, I], [0, 0]] t), which
     sidesteps inverting M and works for singular or defective inputs.
+    Kept for criterion 3; bench/tracing.py:26 traces it.
     """
     from scipy.linalg import expm
 
@@ -66,7 +68,7 @@ def solve_linear(M, B, rcond_min=1e-12):
     """Solve M X = B by LU with partial pivoting.
 
     Raises SingularMatrixError when the 1-norm reciprocal condition estimate
-    falls below rcond_min.
+    falls below rcond_min.  Kept for bench/tracing.py:26, which traces it.
     """
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 

@@ -92,7 +92,8 @@ def cosh_ratios(lam, a, b):
 
 @dataclass(frozen=True)
 class BlockTransition:
-    """n x n partitions of Phi(t) = e^{At} and Psi(t) = int_0^t e^{A s} ds."""
+    """n x n partitions of Phi(t) = e^{At} and Psi(t) = int_0^t e^{A s} ds.
+    Kept as transition_blocks' record, for criterion 3."""
 
     t: float
     phi11: np.ndarray
@@ -146,19 +147,12 @@ class EquilibriumTrajectory:
 # block machinery
 
 
-def assemble_system(W: np.ndarray) -> np.ndarray:
-    """The stacked 2n x 2n system matrix A = [[0, -I], [-W, 0]]."""
+def transition_blocks(W: np.ndarray, t) -> BlockTransition:
+    """Blocks of e^{At} and its running integral for A = [[0, -I], [-W, 0]].
+    Kept as criterion 3's reference; bench/tracing.py:28 traces it."""
     n = W.shape[0]
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = -np.eye(n)
-    A[n:, :n] = -W
-    return A
-
-
-def transition_blocks(A: np.ndarray, t) -> BlockTransition:
-    """Partition e^{At} and its running integral into the n x n blocks."""
+    A = np.block([[np.zeros((n, n)), -np.eye(n)], [-W, np.zeros((n, n))]])
     Phi, Psi = exp_with_integral(A, t)
-    n = len(A) // 2
     return BlockTransition(
         t=float(t),
         phi11=Phi[:n, :n], phi12=Phi[:n, n:], phi21=Phi[n:, :n], phi22=Phi[n:, n:],

@@ -117,7 +117,7 @@ def cumulative_trapezoid_matrix(m: int, h: float) -> np.ndarray:
     """Lower-triangular map from control samples to their running integral.
 
     Dense reference form of _Transcription.state; the verifier itself never
-    builds it.
+    builds it.  Kept for bench/tracing.py:33, which traces it.
     """
     L = np.tril(np.full((m, m), h), -1)
     L[1:, 0] = h / 2.0

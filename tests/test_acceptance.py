@@ -14,7 +14,7 @@ from opiniongame.analytic import (complete_limit, complete_params,
                                   leader_params, leader_trajectory)
 from opiniongame.cli import PRESETS
 from opiniongame.network import build_matrices
-from opiniongame.solver import assemble_system, solve_equilibrium, transition_blocks
+from opiniongame.solver import solve_equilibrium, transition_blocks
 from opiniongame.verify import (deviation_test, evaluate_cost, nash_residual,
                                 quadratic_cost)
 
@@ -61,9 +61,8 @@ def test_criterion_3_block_identities():
     for _ in range(20):
         net = random_net(rng, n=int(rng.integers(2, 13)))
         W = build_matrices(net)
-        sys = assemble_system(W)
         for t in rng.uniform(0.0, net.T, 10):
-            bt = transition_blocks(sys, t)
+            bt = transition_blocks(W, t)
             scale = max(1.0, float(np.max(np.abs(bt.phi11))))
             gaps = (np.max(np.abs(bt.phi22 - bt.phi11)),
                     np.max(np.abs(bt.psi22 + bt.phi12)),

@@ -364,6 +364,41 @@ def test_closed_form_deviation_makes_one_call(name, fn_name, monkeypatch):
     assert len(calls) == 1 and np.array_equal(calls[0][2], traj.grid)
 
 
+@pytest.mark.parametrize("params, name, message", [
+    (complete_params, "fig2b", "network is not a complete uniform topology"),
+    (complete_params, "fig3b", "network is not a complete uniform topology"),
+    (leader_params, "fig1b", "network is not a single-leader topology"),
+    (leader_params, "fig3c", "network is not a single-leader topology"),
+])
+def test_family_params_reject_the_other_topologies(params, name, message):
+    with pytest.raises(ValueError) as info:
+        params(PRESETS[name].network)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("i", [0, 10, -1])
+def test_follower_index_out_of_range_raises(i):
+    p = leader_params(PRESETS["fig2b"].network)
+    for call in (lambda: leader_distance(p, i, X0_LADDER, 1.0),
+                 lambda: leader_consensus_time(p, i, X0_LADDER, 0.1)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "follower index must be in 1..n-1"
+
+
+@pytest.mark.parametrize("name, params, trajectory, limit", [
+    ("fig1b", complete_params, complete_trajectory, complete_limit),
+    ("fig2b", leader_params, leader_trajectory, leader_limit),
+])
+def test_closed_forms_reject_x0_of_the_wrong_length(name, params, trajectory, limit):
+    p, x0 = params(PRESETS[name].network), X0_LADDER[:3]
+    for call in (lambda: trajectory(p, x0, 1.0), lambda: limit(p, x0),
+                 lambda: consensus_times(p, x0, [0.1])):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "x0 must have length 10"
+
+
 @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -0.1])
 def test_consensus_times_reject_eps_outside_open_interval(eps):
     with pytest.raises(ValueError, match="eps"):

@@ -236,6 +236,26 @@ def test_limits_rejects_non_finite_eps(capsys, eps):
     assert captured.out == "" and "--eps" in captured.err
 
 
+@pytest.mark.parametrize("eps, word", [("abc", "abc"), ("0.1,x", "x"), ("0.1;0.2", "0.1;0.2")])
+def test_limits_rejects_unparsable_eps(capsys, eps, word):
+    assert main(["limits", "--preset", "fig1b", "--eps", eps]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad --eps list: could not convert string to float: '{word}'\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "limits"])
+@pytest.mark.parametrize("entry", ["missing.json", "."])
+def test_unreadable_scenario_exits_2(tmp_path, capsys, command, entry):
+    path = tmp_path / entry  # a file that is not there, or a directory
+    with pytest.raises(CliInputError) as info:
+        load_scenario(path)
+    assert str(info.value).startswith("cannot read scenario file: ")
+    assert main([command, "--scenario", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {info.value}\n"
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--preset", "fig1b", "--samples", "11"],
                                   ["figures", "--which", "fig1b", "--samples", "11"]])
 def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv):

@@ -126,6 +126,16 @@ def test_solve_rejects_singular():
     assert "condition" in str(info.value)
 
 
+def test_solve_rejects_the_zero_matrix():
+    # a zero 1-norm is reported as rcond 0 without asking LAPACK
+    with pytest.raises(SingularMatrixError) as info:
+        solve_linear(np.zeros((2, 2)), np.ones(2))
+    assert info.value.rcond == 0.0
+    assert str(info.value) == ("matrix is singular to tolerance: reciprocal condition "
+                               "estimate 0.000e+00 below threshold 1.000e-12 "
+                               "(condition number ~ 1.000e+300)")
+
+
 def test_solve_threshold_configurable():
     eps = 1e-9
     M = np.array([[1.0, 0.0], [0.0, eps]])

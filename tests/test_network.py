@@ -198,6 +198,25 @@ def test_build_matrices_rejects_invalid():
         build_matrices(net)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 0}, "agent count must be a positive integer, got 0"),
+    ({"n": 1.5}, "agent count must be a positive integer, got 1.5"),
+    ({"k": [0.1]}, "k must have length 2, got shape (1,)"),
+    ({"k": [np.nan, 0.2]}, "k entries must be finite"),
+    ({"x0": [[0.1, 0.9]]}, "x0 must have length 2, got shape (1, 2)"),
+    ({"x0": [0.1, np.inf]}, "x0 entries must be finite"),
+    ({"T": 0.0}, "horizon T must be positive and finite, got 0.0"),
+    ({"T": np.nan}, "horizon T must be positive and finite, got nan"),
+])
+def test_validate_rejects_bad_agent_fields(fields, message):
+    net = InfluenceNetwork(**{"n": 2, "edges": {(1, 0): 1.0}, "k": [0.1, 0.2],
+                              "x0": [0.1, 0.9], "T": 1.0, **fields})
+    assert [str(d) for d in validate(net)] == [f"error: {message}"]
+    with pytest.raises(ValueError) as info:
+        build_matrices(net)
+    assert str(info.value) == f"invalid network: {message}"
+
+
 def test_network_fields_are_read_only():
     net = leader_net(2, 1.0, 0.1, [0.0, 1.0], 1.0)
     with pytest.raises(TypeError):
@@ -306,6 +325,31 @@ def test_scenario_rejects_malformed():
     with pytest.raises(ValueError, match="1..2"):
         network_from_dict({"n": 2, "T": 1.0, "x0": [0.1, 0.2], "k": [0, 0],
                            "edges": [{"from": 1, "to": 3, "w": 1.0}]})
+
+
+SCENARIO = {"n": 2, "T": 1.0, "x0": [0.1, 0.2], "k": [0, 0], "edges": []}
+
+
+@pytest.mark.parametrize("data, message", [
+    ([SCENARIO], "scenario must be a JSON object"),
+    ({k: v for k, v in SCENARIO.items() if k != "T"}, "scenario is missing required key 'T'"),
+    ({k: v for k, v in SCENARIO.items() if k != "edges"},
+     "scenario is missing required key 'edges'"),
+    ({**SCENARIO, "n": 0}, "'n' must be a positive integer, got 0"),
+    ({**SCENARIO, "n": True}, "'n' must be a positive integer, got True"),
+    ({**SCENARIO, "n": 2.0}, "'n' must be a positive integer, got 2.0"),
+    ({**SCENARIO, "x0": [0.1, "0.2"]}, "'x0' entries must be numbers"),
+    ({**SCENARIO, "k": [0, None]}, "'k' entries must be numbers"),
+    ({**SCENARIO, "k": [0, False]}, "'k' entries must be numbers"),
+    ({**SCENARIO, "T": "1"}, "'T' must be a number"),
+    ({**SCENARIO, "T": True}, "'T' must be a number"),
+    ({**SCENARIO, "edges": {}}, "'edges' must be a list of edge objects"),
+    ({**SCENARIO, "name": 3}, "'name' must be a string"),
+])
+def test_scenario_rejects_bad_fields(data, message):
+    with pytest.raises(ValueError) as info:
+        network_from_dict(data)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -21,8 +21,8 @@ from opiniongame.analytic import leader_params, leader_trajectory
 from opiniongame.cli import PRESETS, load_scenario
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (BlockTransition, assemble_system, cosh_ratios,
-                                solve_equilibrium, spectral_data, transition_blocks)
+from opiniongame.solver import (BlockTransition, cosh_ratios, solve_equilibrium,
+                                spectral_data, transition_blocks)
 from opiniongame.verify import BOUNDARY_TOL, stationarity_check
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -157,31 +157,12 @@ def test_cosh_ratios_broadcast_over_horizons():
 
 
 # ---------------------------------------------------------------------------
-# system assembly and transition blocks
-
-
-def test_assemble_system_single_agent():
-    net = InfluenceNetwork(n=1, edges={}, k=[0.7], x0=[0.5], T=1.0)
-    A = assemble_system(build_matrices(net))
-    lam = 0.7
-    np.testing.assert_allclose(A, [[0.0, -1.0], [-lam, 0.0]])
-
-
-def test_assemble_system_blocks_and_trace():
-    net = complete_uniform_net(3, 1.0, 0.5, [0.1, 0.5, 0.9], 2.0)
-    W = build_matrices(net)
-    A = assemble_system(W)
-    n = 3
-    np.testing.assert_array_equal(A[:n, :n], np.zeros((n, n)))
-    np.testing.assert_array_equal(A[n:, n:], np.zeros((n, n)))
-    np.testing.assert_array_equal(A[:n, n:], -np.eye(n))
-    np.testing.assert_array_equal(A[n:, :n], -W)
-    assert np.trace(A) == 0.0
+# transition blocks
 
 
 def test_transition_blocks_at_zero():
     net = complete_uniform_net(4, 1.2, 0.3, [0.2, 0.4, 0.6, 0.8], 2.0)
-    bt = transition_blocks(assemble_system(build_matrices(net)), 0.0)
+    bt = transition_blocks(build_matrices(net), 0.0)
     np.testing.assert_array_equal(bt.phi11, np.eye(4))
     np.testing.assert_array_equal(bt.phi12, np.zeros((4, 4)))
     np.testing.assert_array_equal(bt.psi12, np.zeros((4, 4)))
@@ -190,7 +171,7 @@ def test_transition_blocks_at_zero():
 def test_transition_blocks_scalar_cosh_form():
     lam, t = 2.6, 1.4
     net = InfluenceNetwork(n=1, edges={}, k=[lam], x0=[0.5], T=2.0)
-    bt = transition_blocks(assemble_system(build_matrices(net)), t)
+    bt = transition_blocks(build_matrices(net), t)
     assert bt.phi11[0, 0] == pytest.approx(kernel_cosh(lam, t), rel=1e-12)
     assert bt.phi12[0, 0] == pytest.approx(-kernel_sinhc(lam, t), rel=1e-12)
     assert bt.phi21[0, 0] == pytest.approx(-lam * kernel_sinhc(lam, t), rel=1e-12)
@@ -203,9 +184,8 @@ def test_block_identities_on_random_networks():
     for _ in range(8):
         net = random_net(rng)
         W = build_matrices(net)
-        sys = assemble_system(W)
         for t in rng.uniform(0.0, net.T, 4):
-            bt = transition_blocks(sys, t)
+            bt = transition_blocks(W, t)
             scale = max(1.0, np.max(np.abs(bt.phi11)))
             assert np.max(np.abs(bt.phi22 - bt.phi11)) <= 1e-10 * scale
             assert np.max(np.abs(bt.psi22 + bt.phi12)) <= 1e-10 * scale
@@ -237,9 +217,8 @@ def test_spectral_blocks_match_transition_blocks():
         W = build_matrices(net)
         sd = spectral_data(W, classify_topology(net))
         assert sd is not None
-        sys = assemble_system(W)
         for t in (0.0, 0.6, 1.9, 3.0):
-            bt = transition_blocks(sys, t)
+            bt = transition_blocks(W, t)
             sb = spectral_blocks(sd, W, t)
             scale = max(1.0, np.max(np.abs(bt.phi11)))
             for name in ("phi11", "phi12", "phi21", "phi22", "psi12", "psi22"):
@@ -312,6 +291,21 @@ def test_defective_leader_star_takes_the_general_route():
     traj = solve_equilibrium(net, 201)
     ref = leader_trajectory(leader_params(net), net.x0, traj.grid)
     assert np.max(np.abs(traj.x - ref)) <= 1e-14
+
+
+def test_spectral_data_none_when_the_eig_basis_misses_w(monkeypatch):
+    # a basis that passes the imaginary-part and cond(V) gates but is not an
+    # eigenbasis of W is refused by the residual gate
+    net = PRESETS["fig2b"].network
+    assert spectral_data(net.W, classify_topology(net)) is not None
+    eig = np.linalg.eig
+
+    def perturbed(W):
+        lam, V = eig(W)
+        return lam, V + 1e-6 * np.arange(V.size).reshape(V.shape)
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
+    assert spectral_data(net.W, classify_topology(net)) is None
 
 
 def test_spectral_data_none_for_complex_spectrum():

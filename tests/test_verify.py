@@ -641,6 +641,14 @@ def test_deviation_probes_pass_on_equilibrium(fig1b_net):
     assert ok and worst <= 1e-9
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_deviation_test_rejects_a_count_below_one(fig1b_net, count):
+    traj = solve_equilibrium(fig1b_net, 101)
+    with pytest.raises(ValueError) as info:
+        deviation_test(fig1b_net, traj, 0, count=count, seed=0)
+    assert str(info.value) == "count must be >= 1"
+
+
 def test_deviation_zero_amplitude_gap_is_exactly_zero(fig1b_net, monkeypatch):
     traj = solve_equilibrium(fig1b_net, 201)
     monkeypatch.setattr(verify_module, "_AMPLITUDES", (0.0,))
