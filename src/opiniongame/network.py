@@ -112,7 +112,7 @@ def _checked(net: InfluenceNetwork) -> tuple[list[Diagnostic], np.ndarray | None
     """validate's diagnostics and W, None if a check before its assembly fails.
     Edges that form arrays are checked at once, and only the failing ones are
     walked for messages; else every edge is walked, rejecting what failed."""
-    if not isinstance(net.n, numbers.Integral) or net.n < 1:
+    if not isinstance(net.n, numbers.Integral) or isinstance(net.n, bool) or net.n < 1:
         error = f"agent count must be a positive integer, got {net.n!r}"
         return [Diagnostic("error", error)], None
     out, n, W = [], int(net.n), None

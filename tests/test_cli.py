@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_net
+from conftest import random_net, symmetric_net
 import opiniongame
 import opiniongame.analytic as analytic_module
 import opiniongame.cli as cli_module
@@ -411,15 +412,63 @@ def test_csv_writer_matches_reference_on_general_route(tmp_path):
     assert_same_csv_bytes(tmp_path, solve_equilibrium(net, 8001), costate=True)
 
 
+def block_rows(m, cols):
+    """Rows per formatting block of write_trajectory_csv for m rows of `cols`
+    cells: equal blocks of whole rows, each at most _CSV_BLOCK cells or one row."""
+    blocks = -(-m // max(1, cli_module._CSV_BLOCK // cols))
+    return -(-m // blocks)
+
+
 @pytest.mark.parametrize("m", [195, 372, 391, 744, 745, 8001])
 @pytest.mark.parametrize("costate", [False, True])
 def test_csv_writer_matches_reference_across_row_blocks(tmp_path, m, costate):
-    # the writer formats flat blocks of 2^13 = 8192 cells, and fig3b's rows
-    # hold 11 cells (21 with costates): 195, 372 and 744 rows of 11 fit in
-    # one block (744 x 11 = 8184), 745 x 11 = 8195 and 391 x 21 = 8211 put
-    # the first block edge inside a row, and 8001 rows cross many edges
+    # fig3b's rows hold 11 cells (21 with costates); these row counts give
+    # one block, equal blocks and a short last one (block_rows)
     traj = solve_equilibrium(PRESETS["fig3b"].network, m)
     assert_same_csv_bytes(tmp_path, traj, costate)
+
+
+@pytest.mark.parametrize("case", ["one block", "one row over", "uneven last block", "ladder"])
+@pytest.mark.parametrize("costate", [False, True])
+def test_csv_writer_matches_reference_at_block_edges(tmp_path, case, costate):
+    # the ladders write 201 rows of ten agents with costates
+    cols = 21 if costate else 11
+    most = max(1, cli_module._CSV_BLOCK // cols)
+    m = {"one block": most, "one row over": most + 1, "uneven last block": 2 * most + 1,
+         "ladder": 201}[case]
+    rows = block_rows(m, cols)
+    assert {"one block": rows == m, "one row over": rows < m,
+            "uneven last block": m % rows != 0, "ladder": True}[case]
+    traj = solve_equilibrium(PRESETS["fig3b"].network, m)
+    assert_same_csv_bytes(tmp_path, traj, costate)
+
+
+def test_csv_writer_matches_reference_on_rows_wider_than_a_block(tmp_path):
+    n = cli_module._CSV_BLOCK // 2 + 1       # 2 n + 1 cells a row with costates
+    table = np.resize(adversarial_values(), (3, 2 * n + 1))
+    traj = EquilibriumTrajectory(grid=table[:, 0], x=table[:, 1:n + 1], p=table[:, n + 1:])
+    assert_same_csv_bytes(tmp_path, traj, costate=True)
+
+
+def test_csv_writer_memory_does_not_grow_with_samples():
+    # x and p take 2 (8 m n) bytes, 25.6 MB here, and a copy of the whole
+    # table beside them 27.9 MB more; the writer holds one block's arrays
+    traj = solve_equilibrium(symmetric_net(np.random.default_rng(0), 200, 5), 8001)
+    cli_module._format_tables()             # built once per process
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(os.devnull, traj, costate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_csv_writer_writes_only_the_header_of_a_trajectory_without_rows(tmp_path):
+    empty = np.empty((0, 2))
+    traj = EquilibriumTrajectory(grid=np.empty(0), x=empty, p=empty)
+    assert_same_csv_bytes(tmp_path, traj, costate=True)
+    assert (tmp_path / "new.csv").read_text() == "t,x1,x2,p1,p2\n"
 
 
 @pytest.mark.parametrize("costate", [False, True])
@@ -445,10 +494,9 @@ def test_csv_writer_special_values(tmp_path, costate):
 def table_trajectory(values, cols):
     """A trajectory whose CSV cells cycle through `values` row by row: t
     alone (cols = 1), t,x1..x10 (11) or t,x1..x10,p1..p10 (21).  Its row
-    count leaves a short last formatting block."""
-    block = cli_module._CSV_BLOCK
-    rows = max(-(-len(values) // cols), block // cols + 1)
-    rows += rows * cols % block == 0
+    count spans more than one formatting block and leaves the last short."""
+    rows = max(-(-len(values) // cols), cli_module._CSV_BLOCK // cols + 1)
+    rows += rows % block_rows(rows, cols) == 0
     table = np.resize(np.asarray(values, dtype=float), (rows, cols))
     n = (cols - 1) // (2 if cols == 21 else 1)
     return EquilibriumTrajectory(grid=table[:, 0], x=table[:, 1:1 + n],

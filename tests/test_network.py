@@ -207,6 +207,7 @@ def test_build_matrices_rejects_invalid():
     ({"x0": [0.1, np.inf]}, "x0 entries must be finite"),
     ({"T": 0.0}, "horizon T must be positive and finite, got 0.0"),
     ({"T": np.nan}, "horizon T must be positive and finite, got nan"),
+    ({"n": True}, "agent count must be a positive integer, got True"),
 ])
 def test_validate_rejects_bad_agent_fields(fields, message):
     net = InfluenceNetwork(**{"n": 2, "edges": {(1, 0): 1.0}, "k": [0.1, 0.2],
@@ -215,6 +216,18 @@ def test_validate_rejects_bad_agent_fields(fields, message):
     with pytest.raises(ValueError) as info:
         build_matrices(net)
     assert str(info.value) == f"invalid network: {message}"
+
+
+def test_bool_agent_count_is_rejected_where_an_integer_passes():
+    # a bool is a numbers.Integral, but "n": true is rejected from a file too
+    fields = {"edges": {}, "k": [0.1], "x0": [0.5], "T": 1.0}
+    net = InfluenceNetwork(n=True, **fields)
+    assert [str(d) for d in validate(net)] == [
+        "error: agent count must be a positive integer, got True"]
+    with pytest.raises(ValueError, match="got True"):
+        net.W
+    assert validate(InfluenceNetwork(n=np.int64(3), edges={(1, 0): 1.0}, k=[0.1] * 3,
+                                     x0=[0.1, 0.5, 0.9], T=1.0)) == []
 
 
 def test_network_fields_are_read_only():
