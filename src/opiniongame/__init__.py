@@ -7,8 +7,7 @@ from .analytic import (complete_limit, complete_params, complete_trajectory,
 from .network import (CompleteUniform, Diagnostic, InfluenceNetwork,
                       SingleLeader, build_matrices, classify_topology,
                       network_from_dict, network_to_dict, validate)
-from .solver import (EquilibriumTrajectory, SpectralData, solve_equilibrium,
-                     spectral_data)
+from .solver import EquilibriumTrajectory, solve_equilibrium, spectral_data
 from .verify import (BestResponseResult, CostBreakdown, StationarityReport,
                      best_response, deviation_test, evaluate_cost,
                      nash_residual, quadratic_cost, stationarity_check)

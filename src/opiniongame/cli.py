@@ -595,7 +595,7 @@ def main(argv=None) -> int:
         for path in cmd_figures(args.which, args.out, m=args.samples):
             print(path)
         return EXIT_OK
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except MemoryError:
@@ -608,7 +608,7 @@ def main(argv=None) -> int:
         # scenario reads raise CliInputError, so this is an output path
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:           # CliInputError included
+    except ValueError as exc:  # CliInputError included, LinAlgError caught above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -219,6 +219,14 @@ _SCENARIO_KEYS = {"n", "T", "x0", "k", "edges", "name"}
 _EDGE_KEYS = {"from", "to", "w"}
 
 
+def _float(value, field):
+    """float(value), or a ValueError naming field beyond float64 (JSON's 10^309)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is beyond the float64 range") from None
+
+
 def network_from_dict(data: dict) -> InfluenceNetwork:
     """Build a network from the scenario schema (1-based edge indices).
 
@@ -236,12 +244,14 @@ def network_from_dict(data: dict) -> InfluenceNetwork:
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
+    vectors = {}
     for key in ("x0", "k"):
         seq = data[key]
         if not isinstance(seq, list) or len(seq) != n:
             raise ValueError(f"'{key}' must be a list of {n} numbers")
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in seq):
             raise ValueError(f"'{key}' entries must be numbers")
+        vectors[key] = [_float(v, f"'{key}' entry {i}") for i, v in enumerate(seq, 1)]
     if not isinstance(data["T"], numbers.Real) or isinstance(data["T"], bool):
         raise ValueError("'T' must be a number")
     edges = {}
@@ -265,14 +275,14 @@ def network_from_dict(data: dict) -> InfluenceNetwork:
         key = (i - 1, j - 1)
         if key in edges:
             raise ValueError(f"duplicate edge ({i}, {j})")
-        edges[key] = float(w)
+        edges[key] = _float(w, f"edge ({i}, {j}) weight")
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ValueError("'name' must be a string")
     if "/" in name or "\\" in name:  # the name becomes a file name under --out
         raise ValueError(f"'name' must not contain '/' or '\\', got {name!r}")
-    return InfluenceNetwork(n=n, edges=edges, k=data["k"], x0=data["x0"],
-                            T=float(data["T"]), name=name)
+    return InfluenceNetwork(n=n, edges=edges, k=vectors["k"], x0=vectors["x0"],
+                            T=_float(data["T"], "'T'"), name=name)
 
 
 def network_to_dict(net: InfluenceNetwork) -> dict:

@@ -91,29 +91,6 @@ def cosh_ratios(lam, a, b):
 
 
 @dataclass(frozen=True)
-class BlockTransition:
-    """n x n partitions of Phi(t) = e^{At} and Psi(t) = int_0^t e^{A s} ds.
-    Kept as transition_blocks' record, for criterion 3."""
-
-    t: float
-    phi11: np.ndarray
-    phi12: np.ndarray
-    phi21: np.ndarray
-    phi22: np.ndarray
-    psi12: np.ndarray
-    psi22: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Real eigendecomposition W = V diag(lambdas) V^{-1}."""
-
-    lambdas: np.ndarray
-    V: np.ndarray
-    Vinv: np.ndarray
-
-
-@dataclass(frozen=True)
 class EquilibriumTrajectory:
     """Sampled trajectory: opinions x, costates p and a candidate's own
     control u, or u = None for the derived control u = -p.
@@ -147,17 +124,12 @@ class EquilibriumTrajectory:
 # block machinery
 
 
-def transition_blocks(W: np.ndarray, t) -> BlockTransition:
-    """Blocks of e^{At} and its running integral for A = [[0, -I], [-W, 0]].
-    Kept as criterion 3's reference; bench/tracing.py:28 traces it."""
+def transition_blocks(W: np.ndarray, t):
+    """(e^{At}, int_0^t e^{As} ds) for A = [[0, -I], [-W, 0]], as 2n x 2n
+    arrays.  Kept as criterion 3's reference; bench/tracing.py:28 traces it."""
     n = W.shape[0]
     A = np.block([[np.zeros((n, n)), -np.eye(n)], [-W, np.zeros((n, n))]])
-    Phi, Psi = exp_with_integral(A, t)
-    return BlockTransition(
-        t=float(t),
-        phi11=Phi[:n, :n], phi12=Phi[:n, n:], phi21=Phi[n:, :n], phi22=Phi[n:, n:],
-        psi12=Psi[:n, n:], psi22=Psi[n:, n:],
-    )
+    return exp_with_integral(A, t)
 
 
 def _complete_uniform_spectrum(family):
@@ -170,11 +142,11 @@ def _complete_uniform_spectrum(family):
     V[:, -1] = 1.0
     Vinv = np.eye(n) - 1.0 / n
     Vinv[-1] = 1.0 / n
-    return SpectralData(lambdas=lam, V=V, Vinv=Vinv)
+    return lam, V, Vinv
 
 
 def spectral_data(W: np.ndarray, topology=None):
-    """Real eigendecomposition of W when one is reliably available, else None.
+    """(lambdas, V, Vinv), W = V diag(lambdas) Vinv, when reliably found, else None.
 
     The complete uniform family gets its exact eigenbasis from its own
     parameters; symmetric W goes through eigh; anything else, the one-leader
@@ -188,23 +160,22 @@ def spectral_data(W: np.ndarray, topology=None):
     Ws = W / s
     wnorm = np.linalg.norm(Ws)
     if isinstance(topology, CompleteUniform):
-        sd = _complete_uniform_spectrum(topology)
+        lam, V, Vinv = _complete_uniform_spectrum(topology)
     elif np.linalg.norm(Ws - Ws.T) <= 1e-12 * wnorm:
         lam, V = np.linalg.eigh(0.5 * (W + W.T))
-        sd = SpectralData(lambdas=lam, V=V, Vinv=V.T.copy())
+        Vinv = V.T.copy()
     else:
         lam, V = np.linalg.eig(W)
         if np.max(np.abs(lam.imag)) / s > _IMAG_TOL * max(1.0 / s, wnorm):
             return None
-        lam = lam.real
-        V = V.real
+        lam, V = lam.real, V.real
         if not np.all(np.isfinite(V)) or np.linalg.cond(V) > _COND_MAX:
             return None
-        sd = SpectralData(lambdas=lam, V=V, Vinv=np.linalg.inv(V))
-    resid = np.linalg.norm(Ws @ sd.V - sd.V * (sd.lambdas / s))
+        Vinv = np.linalg.inv(V)
+    resid = np.linalg.norm(Ws @ V - V * (lam / s))
     if not resid <= _RESID_RTOL * max(wnorm, 1.0 / s):
         return None
-    return sd
+    return lam, V, Vinv
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +277,13 @@ def _propagate_spectral(sd, net, grid):
     cosh_ratios.  Each block takes their numerators with the modes as rows,
     folds y0/den, g/den and (l y0 - g)/den into them in place, and maps them
     straight into its rows of x and p."""
-    T, m, n = grid[-1], len(grid), int(net.n)
+    (lambdas, V, Vinv), T, m, n = sd, grid[-1], len(grid), int(net.n)
     # W is diagonally dominant with a nonnegative diagonal, so its real
     # spectrum is >= 0; an eigenvalue within n eps |W|_inf, the rounding of
     # W's rows, is a 0 that must stay 0, or a conserved mode decays
     zero = n * np.finfo(float).eps * np.linalg.norm(net.W, np.inf)
-    lam = np.where(sd.lambdas > zero, sd.lambdas, 0.0)
-    y0, g = sd.Vinv @ net.x0, sd.Vinv @ (net.k * net.x0)
+    lam = np.where(lambdas > zero, lambdas, 0.0)
+    y0, g = Vinv @ net.x0, Vinv @ (net.k * net.x0)
     # each distinct rate is evaluated once, and read for every mode it has
     rates, mode_rows = np.unique(lam, return_inverse=True)
     if len(rates) == n:
@@ -324,8 +295,8 @@ def _propagate_spectral(sd, net, grid):
         Y *= y0[:, None] / den
         Y += np.multiply(gap, g[:, None] / den, out=gap)
         Q *= (lam * y0 - g)[:, None] / den
-        np.matmul(Y.T, sd.V.T, out=x[lo:lo + rows])
-        np.matmul(Q.T, sd.V.T, out=p[lo:lo + rows])
+        np.matmul(Y.T, V.T, out=x[lo:lo + rows])
+        np.matmul(Q.T, V.T, out=p[lo:lo + rows])
     return x, p
 
 

@@ -62,11 +62,13 @@ def test_criterion_3_block_identities():
         net = random_net(rng, n=int(rng.integers(2, 13)))
         W = build_matrices(net)
         for t in rng.uniform(0.0, net.T, 10):
-            bt = transition_blocks(W, t)
-            scale = max(1.0, float(np.max(np.abs(bt.phi11))))
-            gaps = (np.max(np.abs(bt.phi22 - bt.phi11)),
-                    np.max(np.abs(bt.psi22 + bt.phi12)),
-                    np.max(np.abs(bt.phi21 - W @ bt.phi12)))
+            Phi, Psi = transition_blocks(W, t)
+            n = len(W)
+            phi11, phi12, phi21, phi22 = Phi[:n, :n], Phi[:n, n:], Phi[n:, :n], Phi[n:, n:]
+            scale = max(1.0, float(np.max(np.abs(phi11))))
+            gaps = (np.max(np.abs(phi22 - phi11)),
+                    np.max(np.abs(Psi[n:, n:] + phi12)),
+                    np.max(np.abs(phi21 - W @ phi12)))
             worst = max(worst, float(max(gaps) / scale))
     assert worst <= 1e-10, f"block identity residual {worst:.3e}"
     _report(3, f"phi/psi block identities on 20 random nets, residual {worst:.2e} <= 1e-10")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_net, symmetric_net
+from conftest import general_route, random_net, symmetric_net
 import opiniongame
 import opiniongame.analytic as analytic_module
 import opiniongame.cli as cli_module
@@ -335,6 +335,51 @@ def test_best_response_failure_exits_3(tmp_path, capsys):
     assert captured.err.startswith(
         "solver error: best-response solve did not reach stationarity for agent 1: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, name", [
+    ("w", "edge (1, 2) weight"), ("T", "'T'"), ("k", "'k' entry 3"), ("x0", "'x0' entry 3")])
+def test_scenario_value_beyond_float64_exits_2(tmp_path, capsys, field, name):
+    # float() overflows on the JSON integer 10^309: a fault of the file, not
+    # of the solver, so it is a bad scenario
+    data = {"n": 3, "T": 1.0, "x0": [0.2, 0.5, 0.8], "k": [0.1, 0.1, 0.1],
+            "edges": [{"from": 1, "to": 2, "w": 1.0}, {"from": 2, "to": 3, "w": 1.0}]}
+    if field == "w":
+        data["edges"][0]["w"] = 10 ** 309
+    elif field == "T":
+        data["T"] = 10 ** 309
+    else:
+        data[field][2] = 10 ** 309
+    scenario = tmp_path / "big.json"
+    scenario.write_text(json.dumps(data))
+    message = f"bad scenario: {name} is beyond the float64 range"
+    with pytest.raises(CliInputError) as info:
+        load_scenario(scenario)
+    assert str(info.value) == message
+    assert main(["limits", "--scenario", str(scenario)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# W is nonsingular in exact arithmetic (k_1 > 0 in its one closed class), but
+# cond(W) is near 1e23, so the general route's solve for the fixed point
+# raises numpy's LinAlgError: a ValueError, yet a numerical failure
+SINGULAR = str(GOLDEN / "scenario-singular.json")
+
+
+def test_numerically_singular_w_exits_3_from_limits(capsys):
+    assert main(["limits", "--scenario", SINGULAR]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "solver error: Singular matrix\n"
+
+
+def test_numerically_singular_w_exits_3_from_the_general_route(tmp_path, capsys):
+    with general_route():
+        rc = main(["simulate", "--scenario", SINGULAR, "--out", str(tmp_path)])
+    assert rc == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "solver error: Singular matrix\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_limits_leader_values(capsys):

@@ -365,6 +365,23 @@ def test_scenario_rejects_bad_fields(data, message):
     assert type(info.value) is ValueError and str(info.value) == message
 
 
+BEYOND_FLOAT64 = 10 ** 309  # a JSON integer that float() cannot hold
+
+
+@pytest.mark.parametrize("data, message", [
+    ({**SCENARIO, "T": BEYOND_FLOAT64}, "'T' is beyond the float64 range"),
+    ({**SCENARIO, "k": [0, BEYOND_FLOAT64]}, "'k' entry 2 is beyond the float64 range"),
+    ({**SCENARIO, "x0": [-BEYOND_FLOAT64, 0.2]}, "'x0' entry 1 is beyond the float64 range"),
+    ({**SCENARIO, "edges": [{"from": 2, "to": 1, "w": BEYOND_FLOAT64}]},
+     "edge (2, 1) weight is beyond the float64 range"),
+])
+def test_scenario_names_a_value_beyond_float64(data, message):
+    # float() raises OverflowError, an ArithmeticError, on such a value
+    with pytest.raises(ValueError) as info:
+        network_from_dict(data)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 @pytest.mark.parametrize("entry, message", [
     ({"from": 0, "to": 1, "w": 1.0}, "edge index 'from' must be an integer in 1..2, got 0"),
     ({"from": 1, "to": 3, "w": 1.0}, "edge index 'to' must be an integer in 1..2, got 3"),

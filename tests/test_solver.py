@@ -21,8 +21,8 @@ from opiniongame.analytic import leader_params, leader_trajectory
 from opiniongame.cli import PRESETS, load_scenario
 from opiniongame.network import (InfluenceNetwork, build_matrices,
                                  classify_topology)
-from opiniongame.solver import (BlockTransition, cosh_ratios, solve_equilibrium,
-                                spectral_data, transition_blocks)
+from opiniongame.solver import (cosh_ratios, solve_equilibrium, spectral_data,
+                                transition_blocks)
 from opiniongame.verify import BOUNDARY_TOL, stationarity_check
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,22 +160,30 @@ def test_cosh_ratios_broadcast_over_horizons():
 # transition blocks
 
 
+def named_blocks(W, t):
+    """The n x n blocks of transition_blocks(W, t) = (Phi, Psi), by name."""
+    Phi, Psi = transition_blocks(W, t)
+    n = len(W)
+    return {"phi11": Phi[:n, :n], "phi12": Phi[:n, n:], "phi21": Phi[n:, :n],
+            "phi22": Phi[n:, n:], "psi12": Psi[:n, n:], "psi22": Psi[n:, n:]}
+
+
 def test_transition_blocks_at_zero():
     net = complete_uniform_net(4, 1.2, 0.3, [0.2, 0.4, 0.6, 0.8], 2.0)
-    bt = transition_blocks(build_matrices(net), 0.0)
-    np.testing.assert_array_equal(bt.phi11, np.eye(4))
-    np.testing.assert_array_equal(bt.phi12, np.zeros((4, 4)))
-    np.testing.assert_array_equal(bt.psi12, np.zeros((4, 4)))
+    bt = named_blocks(build_matrices(net), 0.0)
+    np.testing.assert_array_equal(bt["phi11"], np.eye(4))
+    np.testing.assert_array_equal(bt["phi12"], np.zeros((4, 4)))
+    np.testing.assert_array_equal(bt["psi12"], np.zeros((4, 4)))
 
 
 def test_transition_blocks_scalar_cosh_form():
     lam, t = 2.6, 1.4
     net = InfluenceNetwork(n=1, edges={}, k=[lam], x0=[0.5], T=2.0)
-    bt = transition_blocks(build_matrices(net), t)
-    assert bt.phi11[0, 0] == pytest.approx(kernel_cosh(lam, t), rel=1e-12)
-    assert bt.phi12[0, 0] == pytest.approx(-kernel_sinhc(lam, t), rel=1e-12)
-    assert bt.phi21[0, 0] == pytest.approx(-lam * kernel_sinhc(lam, t), rel=1e-12)
-    assert bt.psi12[0, 0] == pytest.approx(-kernel_coshm1(lam, t), rel=1e-12)
+    bt = named_blocks(build_matrices(net), t)
+    assert bt["phi11"][0, 0] == pytest.approx(kernel_cosh(lam, t), rel=1e-12)
+    assert bt["phi12"][0, 0] == pytest.approx(-kernel_sinhc(lam, t), rel=1e-12)
+    assert bt["phi21"][0, 0] == pytest.approx(-lam * kernel_sinhc(lam, t), rel=1e-12)
+    assert bt["psi12"][0, 0] == pytest.approx(-kernel_coshm1(lam, t), rel=1e-12)
 
 
 def test_block_identities_on_random_networks():
@@ -185,26 +193,25 @@ def test_block_identities_on_random_networks():
         net = random_net(rng)
         W = build_matrices(net)
         for t in rng.uniform(0.0, net.T, 4):
-            bt = transition_blocks(W, t)
-            scale = max(1.0, np.max(np.abs(bt.phi11)))
-            assert np.max(np.abs(bt.phi22 - bt.phi11)) <= 1e-10 * scale
-            assert np.max(np.abs(bt.psi22 + bt.phi12)) <= 1e-10 * scale
-            assert np.max(np.abs(bt.phi21 - W @ bt.phi12)) <= 1e-10 * scale * max(
+            bt = named_blocks(W, t)
+            scale = max(1.0, np.max(np.abs(bt["phi11"])))
+            assert np.max(np.abs(bt["phi22"] - bt["phi11"])) <= 1e-10 * scale
+            assert np.max(np.abs(bt["psi22"] + bt["phi12"])) <= 1e-10 * scale
+            assert np.max(np.abs(bt["phi21"] - W @ bt["phi12"])) <= 1e-10 * scale * max(
                 1.0, np.max(np.abs(W)))
 
 
-def spectral_blocks(sd, W, t):
+def spectral_blocks(lam, V, Vinv, W, t):
     """Reference blocks from a real eigendecomposition W = V diag(l) V^-1:
     phi11 = V diag(cosh(sqrt(l) t)) V^-1, phi12 = -V diag(sinh(sqrt(l) t)/sqrt(l)) V^-1,
     psi12 = -V diag((cosh(sqrt(l) t)-1)/l) V^-1, phi21 = W phi12, phi22 = phi11,
     psi22 = -phi12."""
-    lam = np.asarray(sd.lambdas, dtype=float)
-    V, Vinv = sd.V, sd.Vinv
+    lam = np.asarray(lam, dtype=float)
     phi11 = (V * np.array([kernel_cosh(l, t) for l in lam])) @ Vinv
     phi12 = -(V * np.array([kernel_sinhc(l, t) for l in lam])) @ Vinv
     psi12 = -(V * np.array([kernel_coshm1(l, t) for l in lam])) @ Vinv
-    return BlockTransition(t=t, phi11=phi11, phi12=phi12, phi21=W @ phi12,
-                           phi22=phi11, psi12=psi12, psi22=-phi12)
+    return {"phi11": phi11, "phi12": phi12, "phi21": W @ phi12,
+            "phi22": phi11, "psi12": psi12, "psi22": -phi12}
 
 
 def test_spectral_blocks_match_transition_blocks():
@@ -218,11 +225,11 @@ def test_spectral_blocks_match_transition_blocks():
         sd = spectral_data(W, classify_topology(net))
         assert sd is not None
         for t in (0.0, 0.6, 1.9, 3.0):
-            bt = transition_blocks(W, t)
-            sb = spectral_blocks(sd, W, t)
-            scale = max(1.0, np.max(np.abs(bt.phi11)))
+            bt = named_blocks(W, t)
+            sb = spectral_blocks(*sd, W, t)
+            scale = max(1.0, np.max(np.abs(bt["phi11"])))
             for name in ("phi11", "phi12", "phi21", "phi22", "psi12", "psi22"):
-                gap = np.max(np.abs(getattr(bt, name) - getattr(sb, name)))
+                gap = np.max(np.abs(bt[name] - sb[name]))
                 assert gap <= 1e-10 * scale, (net.name, name, t, gap)
 
 
@@ -233,9 +240,9 @@ def test_spectral_data_complete_uniform_spectrum(n):
     w, k = 1.3, 0.4
     net = complete_uniform_net(n, w, k, np.linspace(0, 1, n), 2.0)
     W = build_matrices(net)
-    sd = spectral_data(W, classify_topology(net))
-    np.testing.assert_allclose(sd.lambdas[:-1], k + n * w)
-    assert sd.lambdas[-1] == pytest.approx(k)
+    lam, sd_V, sd_Vinv = spectral_data(W, classify_topology(net))
+    np.testing.assert_allclose(lam[:-1], k + n * w)
+    assert lam[-1] == pytest.approx(k)
     V = np.zeros((n, n))
     V[:-1, :-1] = np.eye(n - 1)
     V[-1, :-1] = -1.0
@@ -244,19 +251,40 @@ def test_spectral_data_complete_uniform_spectrum(n):
     Vinv[:-1, :-1] = np.eye(n - 1)
     Vinv[:-1] -= 1.0 / n
     Vinv[-1] = 1.0 / n
-    assert np.array_equal(sd.V, V) and np.array_equal(sd.Vinv, Vinv)
-    assert np.max(np.abs(W @ sd.V - sd.V * sd.lambdas)) <= 1e-8 * np.linalg.norm(W)
-    np.testing.assert_allclose(sd.Vinv @ sd.V, np.eye(n), atol=1e-12)
+    assert np.array_equal(sd_V, V) and np.array_equal(sd_Vinv, Vinv)
+    assert np.max(np.abs(W @ sd_V - sd_V * lam)) <= 1e-8 * np.linalg.norm(W)
+    np.testing.assert_allclose(sd_Vinv @ sd_V, np.eye(n), atol=1e-12)
 
 
 def test_spectral_data_leader_star_basis_rebuilds_w():
     net = leader_net(4, [0.0, 1.0, 2.0, 0.5], [0.2, 0.3, 0.1, 0.6],
                      [0.1, 0.4, 0.7, 0.9], 2.0)
     W = build_matrices(net)
-    sd = spectral_data(W, classify_topology(net))
-    np.testing.assert_allclose(sd.V @ np.diag(sd.lambdas) @ sd.Vinv, W, atol=1e-14)
+    lam, V, Vinv = spectral_data(W, classify_topology(net))
+    np.testing.assert_allclose(V @ np.diag(lam) @ Vinv, W, atol=1e-14)
     # W is triangular, so its spectrum is its diagonal
-    np.testing.assert_allclose(np.sort(sd.lambdas), np.sort(W.diagonal()), rtol=1e-14)
+    np.testing.assert_allclose(np.sort(lam), np.sort(W.diagonal()), rtol=1e-14)
+
+
+@pytest.mark.parametrize("case, branch", [
+    ("fig1b", "exact"), ("symmetric", "eigh"), ("fig2b", "eig"), ("fig3b", "eig")])
+def test_spectral_data_basis_rebuilds_w_on_every_branch(case, branch, monkeypatch):
+    # V diag(lambdas) Vinv is W to rounding, relative to the largest weight,
+    # whichever of the exact basis, eigh or eig produced it
+    if case == "symmetric":
+        net = symmetric_net(np.random.default_rng(0), 6, 2.0)
+    else:
+        net = PRESETS[case].network
+    called = []
+    for name in ("eig", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, f=original, name=name: called.append(name) or f(A))
+    lam, V, Vinv = spectral_data(net.W, classify_topology(net))
+    monkeypatch.undo()
+    assert called == ([] if branch == "exact" else [branch])
+    err = np.max(np.abs(V @ np.diag(lam) @ Vinv - net.W))
+    assert err <= 1e-14 * max(1.0, float(np.max(np.abs(net.W)))), err
 
 
 @settings(max_examples=60, deadline=None)
@@ -694,7 +722,7 @@ def test_routes_agree_where_eigh_returns_a_negative_eigenvalue():
     net = symmetric_net(np.random.default_rng(36), 12, 2.0)
     net = dataclasses.replace(net, k=np.zeros(12))
     sd = spectral_data(build_matrices(net), classify_topology(net))
-    assert sd is not None and sd.lambdas.min() < 0.0
+    assert sd is not None and sd[0].min() < 0.0
     a = solve_equilibrium(net, 201)
     with general_route():
         b = solve_equilibrium(net, 201)
@@ -743,15 +771,16 @@ def per_mode_spectral(sd, net, grid):
     lone stubborn agent, whose costate is exactly 0."""
     T = grid[-1]
     rem = T - grid
-    y0 = sd.Vinv @ net.x0
-    g = sd.Vinv @ (net.k * net.x0)
+    lambdas, V, Vinv = sd
+    y0 = Vinv @ net.x0
+    g = Vinv @ (net.k * net.x0)
     Y = np.empty((len(grid), net.n))
     Q = np.empty_like(Y)
-    for j, lam in enumerate(np.maximum(sd.lambdas, 0.0)):
+    for j, lam in enumerate(np.maximum(lambdas, 0.0)):
         cosh, _, sinhc, gap = cosh_ratios(lam, rem, T)
         Y[:, j] = y0[j] * cosh + g[j] * gap
         Q[:, j] = (lam * y0[j] - g[j]) * sinhc
-    return Y @ sd.V.T, Q @ sd.V.T
+    return Y @ V.T, Q @ V.T
 
 
 def spectral_case(seed, n, family, T):
@@ -776,9 +805,9 @@ def test_blocked_spectral_route_matches_per_mode_oracle_property(seed, n, family
     sd = spectral_data(net.W, classify_topology(net))
     assert sd is not None
     if family == "stiff":
-        assert math.sqrt(np.max(sd.lambdas)) * T >= 1e3
+        assert math.sqrt(np.max(sd[0])) * T >= 1e3
     if family == "complete, k = 0":
-        assert np.min(np.abs(sd.lambdas)) == 0.0
+        assert np.min(np.abs(sd[0])) == 0.0
     # whole blocks of solver._BLOCK // n rows, then a last one that is not full
     rows = max(1, solver._BLOCK // n)
     m = max(2, blocks * rows + 1 + int(tail * (rows - 2)))
@@ -792,10 +821,10 @@ def test_blocked_spectral_route_matches_per_mode_oracle_property(seed, n, family
 def each_mode_alone(sd, net, grid):
     """The spectral route's own arithmetic, block by block, with every mode's
     numerators evaluated alone, so a repeated rate is evaluated repeatedly."""
-    T, n = grid[-1], net.n
+    (lambdas, V, Vinv), T, n = sd, grid[-1], net.n
     zero = n * np.finfo(float).eps * np.linalg.norm(net.W, np.inf)
-    lam = np.where(sd.lambdas > zero, sd.lambdas, 0.0)
-    y0, g = sd.Vinv @ net.x0, sd.Vinv @ (net.k * net.x0)
+    lam = np.where(lambdas > zero, lambdas, 0.0)
+    y0, g = Vinv @ net.x0, Vinv @ (net.k * net.x0)
     x, p = np.empty((len(grid), n)), np.empty((len(grid), n))
     rows = max(1, solver._BLOCK // n)
     for lo in range(0, len(grid), rows):
@@ -804,8 +833,8 @@ def each_mode_alone(sd, net, grid):
         den, Y, Q, gap = (np.concatenate(part) for part in zip(*modes))
         Y = Y * (y0[:, None] / den) + gap * (g[:, None] / den)
         Q = Q * ((lam * y0 - g)[:, None] / den)
-        np.matmul(Y.T, sd.V.T, out=x[lo:lo + rows])
-        np.matmul(Q.T, sd.V.T, out=p[lo:lo + rows])
+        np.matmul(Y.T, V.T, out=x[lo:lo + rows])
+        np.matmul(Q.T, V.T, out=p[lo:lo + rows])
     return x, p
 
 
@@ -816,7 +845,7 @@ def test_repeated_rates_share_numerators_bitwise(name, m, monkeypatch):
     # rates of 10; each is evaluated once, with the same bits as ten times
     net = PRESETS[name].network
     sd = spectral_data(net.W, classify_topology(net))
-    assert len(np.unique(sd.lambdas)) == 2
+    assert len(np.unique(sd[0])) == 2
     grid = np.linspace(0.0, net.T, m)
     rows = []
     original = solver._ratio_numerators
