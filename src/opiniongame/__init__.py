@@ -9,7 +9,7 @@ from .network import (CompleteUniform, Diagnostic, InfluenceNetwork,
                       network_from_dict, network_to_dict, validate)
 from .solver import EquilibriumTrajectory, solve_equilibrium, spectral_data
 from .verify import (BestResponseResult, CostBreakdown, StationarityReport,
-                     best_response, deviation_test, evaluate_cost,
+                     best_response, certify, deviation_test, evaluate_cost,
                      nash_residual, quadratic_cost, stationarity_check)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .network import (CompleteUniform, InfluenceNetwork, SingleLeader,
                       classify_topology, network_from_dict, network_to_dict,
                       validate)
 from .solver import EquilibriumTrajectory, _lifted, solve_equilibrium
-from .verify import _certificate, evaluate_cost, stationarity_check
+from .verify import certify, evaluate_cost
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -446,19 +446,11 @@ def cmd_verify(net: InfluenceNetwork, m: int, count: int, seed: int,
         raise CliInputError(f"--count must be >= 1, got {count}")
     if seed < 0:
         raise CliInputError(f"--seed must be >= 0, got {seed}")
-    # certification tolerance tied to h^2; 1e-6 at the default grid
-    # (m = 501 over T = 5)
-    h = net.T / (m - 1)
-    residual_tol = 0.01 * h * h
     if candidate == "constant":
         traj = constant_candidate(net, m)
     else:
         traj = solve_equilibrium(net, m)
-    residual, deviations = _certificate(net, traj, count, seed)
-    reports = stationarity_check(net, traj)
-    passed = (residual <= residual_tol
-              and all(r.passed for r in reports)
-              and all(ok for ok, _ in deviations))
+    passed, residual, reports, deviations = certify(net, traj, count, seed)
     return RunReport(
         scenario=net.name or "scenario",
         samples=m,

@@ -37,8 +37,10 @@ _CONTROL_TOL = 1e-12
 # largest cost reduction a probe may find.
 _AMPLITUDES = (1e-3, 1e-2, 1e-1)
 _DEVIATION_TOL = 1e-9
-# The certificate walks the agents in chunks of _CHUNK // m rows, so each of
-# its per-agent arrays holds about _CHUNK entries: every preset fits in one
+# certify's bound on the Nash residual, in units of h^2 for the grid step h.
+_RESIDUAL_TOL = 0.01
+# certify walks the agents in chunks of _CHUNK // m rows, so each of its
+# per-agent arrays holds about _CHUNK entries: every preset fits in one
 # chunk up to m = 26214, and an n = 200 net at m = 8001 takes seven.
 _CHUNK = 1 << 18
 
@@ -440,7 +442,7 @@ def deviation_test(net: InfluenceNetwork, traj: EquilibriumTrajectory, i: int,
     so a zero amplitude gives exactly zero and e^2 is never formed.  Returns
     (passed, worst_gain) where worst_gain is the largest cost reduction any
     perturbation achieved; passing means no reduction beyond _DEVIATION_TOL.
-    This is the certificate's probe pricing restricted to agent i.
+    This is certify's probe pricing restricted to agent i.
     """
     model = _Transcription(net, traj, range(i, i + 1))
     return _probe_gains(model, traj.u_rows([i]), _probe_basis(traj), count, [seed])[0]
@@ -484,16 +486,15 @@ def _probe_gains(model, u_cand, basis, count, seeds):
     return [(gain <= _DEVIATION_TOL, gain) for gain in worst.tolist()]
 
 
-def _certificate(net: InfluenceNetwork, traj: EquilibriumTrajectory, count: int,
-                 seed: int):
-    """nash_residual and every agent's deviation_test, agent a probing with
-    seed + a, from one _Transcription per chunk of agents; returns the
-    residual and the list of (passed, worst_gain) in agent order.
-
-    Each per-agent array of a chunk holds about _CHUNK entries.  The
-    residual is nash_residual's to the bit; a gain is deviation_test's up to
-    the rounding of the agent's forcing product, which a chunk forms for all
-    its agents at once.
+def certify(net: InfluenceNetwork, traj: EquilibriumTrajectory, count: int,
+            seed: int):
+    """The verdict on the candidate traj, (passed, residual, reports,
+    deviations): nash_residual held to _RESIDUAL_TOL h^2 for the step
+    h = T / (m - 1), every stationarity_check report, and every agent's
+    deviation_test as a (passed, worst_gain) pair, agent a probing with
+    seed + a.  One _Transcription per chunk of agents, each per-agent array
+    about _CHUNK entries, gives the residual, nash_residual's to the bit, and
+    the gains, deviation_test's up to the rounding of the forcing product.
     """
     basis = _probe_basis(traj)
     ratios, deviations = [], []
@@ -504,4 +505,9 @@ def _certificate(net: InfluenceNetwork, traj: EquilibriumTrajectory, count: int,
         deviations += _probe_gains(model, traj.u_rows(agents), basis, count,
                                    [seed + a for a in agents])
         del model  # freed before the next chunk's is built, so one is alive at a time
-    return float(np.max(np.concatenate(ratios), initial=0.0)), deviations
+    residual = float(np.max(np.concatenate(ratios), initial=0.0))
+    reports = stationarity_check(net, traj)
+    h = traj.T / (len(traj.grid) - 1)
+    passed = (residual <= _RESIDUAL_TOL * h * h and all(r.passed for r in reports)
+              and all(ok for ok, _ in deviations))
+    return passed, residual, reports, deviations

@@ -28,7 +28,8 @@ from opiniongame.cli import (EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY_FAILE
 from opiniongame.network import (CompleteUniform, SingleLeader,
                                  classify_topology, network_to_dict, validate)
 from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
-from opiniongame.verify import _certificate, deviation_test
+from opiniongame.verify import (certify, deviation_test, nash_residual,
+                                stationarity_check)
 
 
 def test_presets_match_expected_parameterizations():
@@ -272,12 +273,49 @@ def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
     pytest.param("fig3b", ["--preset", "fig3b"], EXIT_OK, id="fig3b"),
     pytest.param("fig1b-constant", ["--preset", "fig1b", "--candidate", "constant"],
                  EXIT_VERIFY_FAILED, id="fig1b-constant"),
+    # residuals 2.194e-09, 1.321e-09, 3.804e-07 and 7.865e-01; fig2c and the
+    # directed scenario sit within two decades of the ~1e-12 rounding floor,
+    # where another BLAS could move the fourth printed digit, so they are left out
+    pytest.param("fig1c", ["--preset", "fig1c"], EXIT_OK, id="fig1c"),
+    pytest.param("fig2b", ["--preset", "fig2b"], EXIT_OK, id="fig2b"),
+    pytest.param("fig3c", ["--preset", "fig3c"], EXIT_OK, id="fig3c"),
+    pytest.param("fig2b-constant", ["--preset", "fig2b", "--candidate", "constant"],
+                 EXIT_VERIFY_FAILED, id="fig2b-constant"),
 ])
 def test_verify_output_matches_golden(capsys, name, argv, code):
     assert main(["verify", *argv]) == code
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"verify-{name}.txt").read_text(encoding="utf-8")
     assert captured.err == ""
+
+
+# (source, candidate, m, verdict): fig1b and fig3c at m = 201 fail on true
+# equilibria (their residuals exceed 0.01 h^2 on the coarse grid), every
+# constant candidate fails, the game scaled by 1e50 fails stationarity
+VERDICTS = ([(name, candidate, m,
+              candidate is None and not (m == 201 and name in ("fig1b", "fig3c")))
+             for name in sorted(PRESETS) for candidate in (None, "constant")
+             for m in (201, 501)]
+            + [("scenario-fig3b-1e50.json", None, 501, False)])
+
+
+@pytest.mark.parametrize("source, candidate, m, verdict", VERDICTS)
+def test_library_certify_gives_the_cli_verdict(source, candidate, m, verdict):
+    argv = ["verify", "--samples", str(m)]
+    if source in PRESETS:
+        net = PRESETS[source].network
+        argv += ["--preset", source]
+    else:
+        net = load_scenario(GOLDEN / source)
+        argv += ["--scenario", str(GOLDEN / source)]
+    if candidate:
+        argv += ["--candidate", candidate]
+    traj = (constant_candidate(net, m) if candidate == "constant"
+            else solve_equilibrium(net, m))
+    passed, residual, reports, _ = certify(net, traj, 100, 0)
+    assert passed == (main(argv) == EXIT_OK) == verdict
+    assert residual == nash_residual(net, traj)
+    assert reports == stationarity_check(net, traj)
 
 
 def test_violated_stationarity_names_a_failing_agent(capsys):
@@ -616,7 +654,7 @@ def test_out_of_memory_in_the_probes_names_count(capsys, monkeypatch):
     # the probe buffers are count x m, so verify's hint names --count too
     def exhausted(net, traj, count, seed):
         raise MemoryError("cannot allocate the probes")
-    monkeypatch.setattr(cli_module, "_certificate", exhausted)
+    monkeypatch.setattr(cli_module, "certify", exhausted)
     assert main(["verify", "--preset", "fig1b", "--count", "999999999"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: not enough memory") and "--count" in err
@@ -712,14 +750,14 @@ def test_verify_probes_each_agent_as_deviation_test(name, candidate):
 def test_chunked_certificate_matches_one_chunk(monkeypatch, name, candidate):
     m = 301
     net, traj = certificate_case(name, candidate, m)
-    residual, deviations = _certificate(net, traj, 20, 3)
+    _, residual, _, deviations = certify(net, traj, 20, 3)
     built = []
     original = verify_module._Transcription
     monkeypatch.setattr(verify_module, "_Transcription",
                         lambda net, traj, agents: built.append(agents)
                         or original(net, traj, agents))
     monkeypatch.setattr(verify_module, "_CHUNK", 4 * m)
-    chunked, chunked_deviations = _certificate(net, traj, 20, 3)
+    _, chunked, _, chunked_deviations = certify(net, traj, 20, 3)
     assert built == [range(a, min(a + 4, net.n)) for a in range(0, net.n, 4)]
     # a gap is a difference of two costs of order one, so a residual near
     # 1e-7 keeps only the absolute accuracy of those costs

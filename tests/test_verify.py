@@ -19,8 +19,8 @@ from opiniongame.cli import (EXIT_SOLVER, PRESETS, RunReport, constant_candidate
                              load_scenario, main)
 from opiniongame.network import InfluenceNetwork
 from opiniongame.solver import EquilibriumTrajectory, solve_equilibrium
-from opiniongame.verify import (CostBreakdown, StationarityReport, _certificate,
-                                _Transcription, best_response,
+from opiniongame.verify import (CostBreakdown, StationarityReport,
+                                _Transcription, best_response, certify,
                                 cumulative_trapezoid_matrix, deviation_test,
                                 evaluate_cost, nash_residual, quadratic_cost,
                                 simpson_weights, stationarity_check)
@@ -502,7 +502,7 @@ def test_stationarity_flags_an_own_control_off_minus_p(fig1b_net):
 def verification(net, traj):
     """Every result cmd_verify and cmd_simulate take from traj, and the
     report text they print."""
-    residual, deviations = _certificate(net, traj, 5, 0)
+    _, residual, _, deviations = certify(net, traj, 5, 0)
     report = RunReport(scenario=net.name, samples=len(traj.grid),
                        costs=evaluate_cost(net, traj), residual=residual,
                        stationarity=stationarity_check(net, traj),
@@ -871,7 +871,7 @@ def test_batched_verifier_matches_per_agent_references(seed, n, half, lattice, c
         gap = cost - dense_cost(model, dense_best_response(net, traj, i))
         ratios.append(gap / max(1.0, cost))
         costs.append(abs(cost))
-    residual, deviations = _certificate(net, traj, 20, 0)
+    _, residual, _, deviations = certify(net, traj, 20, 0)
     assert abs(nash_residual(net, traj) - max(ratios)) <= 1e-12 * max(costs)
     assert residual == nash_residual(net, traj)
     assert_matches_difference_form(net, traj, 20, results=deviations)
@@ -946,13 +946,13 @@ def test_lost_stationarity_names_the_first_agent(fig1b_net, monkeypatch, capsys)
         "solver error: best-response solve did not reach stationarity for agent 1: ")
 
 
-@pytest.mark.parametrize("certify", [nash_residual, lambda net, traj: _certificate(net, traj, 5, 0)],
+@pytest.mark.parametrize("check", [nash_residual, lambda net, traj: certify(net, traj, 5, 0)],
                          ids=["nash_residual", "certificate"])
-def test_verifier_holds_one_transcription_at_a_time(certify, monkeypatch):
+def test_verifier_holds_one_transcription_at_a_time(check, monkeypatch):
     net = random_net(np.random.default_rng(8), n=20)
     traj = solve_equilibrium(net, 101)
     monkeypatch.setattr(verify_module, "_CHUNK", 4 * 101)  # five chunks
-    expected = certify(net, traj)
+    expected = check(net, traj)
     models, alive = [], []
 
     class Counted(_Transcription):
@@ -962,7 +962,7 @@ def test_verifier_holds_one_transcription_at_a_time(certify, monkeypatch):
             models.append(weakref.ref(self))
 
     monkeypatch.setattr(verify_module, "_Transcription", Counted)
-    got = certify(net, traj)
+    got = check(net, traj)
     # each chunk's model is built once the previous one is gone
     assert alive == [0] * 5
     assert got == expected
@@ -982,10 +982,10 @@ def test_batched_verifier_memory_scales_with_one_trajectory(kind, rows, bound, m
     traj = constant_candidate(net, m)
     if rows is not None:
         monkeypatch.setattr(verify_module, "_CHUNK", rows * m)  # five chunks
-    _certificate(net, traj, count, 0)  # first-use allocations and the scipy import
+    certify(net, traj, count, 0)  # first-use allocations and the scipy import
     tracemalloc.start()
     try:
-        _certificate(net, traj, count, 0)
+        certify(net, traj, count, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
