@@ -89,62 +89,44 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _complete_uniform_net(w, k, name):
-    edges = {(i, j): float(w) for i in range(10) for j in range(10) if i != j}
-    return InfluenceNetwork(n=10, edges=edges, k=np.full(10, float(k)),
+def _preset_net(name, edges, k):
+    return InfluenceNetwork(n=10, edges=edges, k=np.full(10, k),
                             x0=np.array(_X0_LADDER), T=5.0, name=name)
 
 
-def _leader_net(w, k, name):
-    edges = {(i, 0): float(w) for i in range(1, 10)}
-    return InfluenceNetwork(n=10, edges=edges, k=np.full(10, float(k)),
-                            x0=np.array(_X0_LADDER), T=5.0, name=name)
-
-
-def _two_leader_net(own1, cross_f1_to_f10, name):
+def _two_leader_edges(own1, cross_f1_to_f10):
     """Two camps: leaders 1 and 10 never listen; followers 2-5 back leader 1,
     followers 6-9 back leader 10, with weak cross-listening."""
     f1, f10 = [1, 2, 3, 4], [5, 6, 7, 8]
     edges = {}
-    for i in f1:
-        edges[(i, 0)] = float(own1)
-        edges[(i, 9)] = 0.1
-        for j in f1:
-            if j != i:
-                edges[(i, j)] = 2.0
-        for j in f10:
-            edges[(i, j)] = 0.2
-    for i in f10:
-        edges[(i, 9)] = 10.0
-        edges[(i, 0)] = 0.1
-        for j in f10:
-            if j != i:
-                edges[(i, j)] = 2.0
-        for j in f1:
-            edges[(i, j)] = float(cross_f1_to_f10)
-    return InfluenceNetwork(n=10, edges=edges, k=np.full(10, 0.2),
-                            x0=np.array(_X0_LADDER), T=5.0, name=name)
+    for camp, other, own, rival, w_own, w_cross in ((f1, f10, 0, 9, own1, 0.2),
+                                                     (f10, f1, 9, 0, 10.0, cross_f1_to_f10)):
+        for i in camp:
+            edges[(i, own)] = w_own
+            edges[(i, rival)] = 0.1
+            edges.update({(i, j): 2.0 for j in camp if j != i})
+            edges.update({(i, j): w_cross for j in other})
+    return edges
 
 
 def _build_presets():
-    presets = {}
-
-    def add(name, net, note):
-        presets[name] = ScenarioPreset(name=name, network=net, note=note)
-
-    add("fig1b", _complete_uniform_net(2.0, 0.2, "fig1b"),
-        "complete uniform network, strong coupling (w=2, k=0.2)")
-    add("fig1c", _complete_uniform_net(0.4, 0.04, "fig1c"),
-        "complete uniform network, weak coupling (w=0.4, k=0.04)")
-    add("fig2b", _leader_net(2.0, 0.2, "fig2b"),
-        "single-leader star, strong coupling (w=2, k=0.2)")
-    add("fig2c", _leader_net(0.4, 0.04, "fig2c"),
-        "single-leader star, weak coupling (w=0.4, k=0.04)")
-    add("fig3b", _two_leader_net(10.0, 0.2, "fig3b"),
-        "two rival leaders, balanced camps")
-    add("fig3c", _two_leader_net(20.0, 10.0, "fig3c"),
-        "two rival leaders, camp 1 campaigning hard for camp 10's followers")
-    return presets
+    complete = [(i, j) for i in range(10) for j in range(10) if i != j]
+    star = [(i, 0) for i in range(1, 10)]
+    presets = [
+        ("fig1b", dict.fromkeys(complete, 2.0), 0.2,
+         "complete uniform network, strong coupling (w=2, k=0.2)"),
+        ("fig1c", dict.fromkeys(complete, 0.4), 0.04,
+         "complete uniform network, weak coupling (w=0.4, k=0.04)"),
+        ("fig2b", dict.fromkeys(star, 2.0), 0.2,
+         "single-leader star, strong coupling (w=2, k=0.2)"),
+        ("fig2c", dict.fromkeys(star, 0.4), 0.04,
+         "single-leader star, weak coupling (w=0.4, k=0.04)"),
+        ("fig3b", _two_leader_edges(10.0, 0.2), 0.2, "two rival leaders, balanced camps"),
+        ("fig3c", _two_leader_edges(20.0, 10.0), 0.2,
+         "two rival leaders, camp 1 campaigning hard for camp 10's followers"),
+    ]
+    return {name: ScenarioPreset(name=name, network=_preset_net(name, edges, k), note=note)
+            for name, edges, k, note in presets}
 
 
 PRESETS = _build_presets()
@@ -562,19 +544,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
+        if args.command != "figures":
             net = _resolve_network(args)
+        if args.command == "simulate":
             report = cmd_simulate(net, args.samples, args.out, costate=args.costate)
             print(report.render())
             return EXIT_OK
         if args.command == "verify":
-            net = _resolve_network(args)
             report = cmd_verify(net, args.samples, args.count, args.seed,
                                 candidate=args.candidate)
             print(report.render())
             return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
         if args.command == "limits":
-            net = _resolve_network(args)
             try:
                 eps_list = [float(v) for v in str(args.eps).split(",") if v.strip()]
             except ValueError as exc:
@@ -583,7 +564,6 @@ def main(argv=None) -> int:
                 raise CliInputError("--eps needs positive finite values")
             print(cmd_limits(net, eps_list))
             return EXIT_OK
-        # the parser admits one command more: figures
         for path in cmd_figures(args.which, args.out, m=args.samples):
             print(path)
         return EXIT_OK

@@ -220,12 +220,26 @@ def test_limits_unreachable_eps(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2b", "fig2c", "fig3b"])
+@pytest.mark.parametrize("name, family", [
+    ("fig1b", CompleteUniform), ("fig1c", CompleteUniform),
+    ("fig2b", SingleLeader), ("fig2c", SingleLeader),
+    ("fig3b", type(None)), ("fig3c", type(None))])
+def test_preset_saves_to_its_golden_file(tmp_path, name, family):
+    net = PRESETS[name].network
+    golden = GOLDEN / f"preset-{name}.json"
+    save_scenario(net, tmp_path / "preset.json")
+    assert (tmp_path / "preset.json").read_bytes() == golden.read_bytes()
+    back = load_scenario(golden)
+    np.testing.assert_array_equal(back.W, net.W)
+    assert type(classify_topology(back)) is family
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig1c", "fig2b", "fig2c", "fig3b", "fig3c"])
 @pytest.mark.parametrize("label, extra", [("default", []),
                                           ("eps", ["--eps", "0.3,0.05,0.001,1e-5"])])
 def test_limits_output_matches_golden(capsys, name, label, extra):
     assert main(["limits", "--preset", name] + extra) == EXIT_OK
-    if name == "fig3b":
+    if name in ("fig3b", "fig3c"):
         label = "default"  # a general net prints no eps lines
     want = (GOLDEN / f"limits-{name}-{label}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
