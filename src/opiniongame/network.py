@@ -181,9 +181,13 @@ def validate(net: InfluenceNetwork) -> list[Diagnostic]:
     """Collect diagnostics; empty list means the instance is well formed.
 
     Opinions outside [0, 1] yield warnings only: the dynamics are affine and
-    never clip, so the solver accepts them.
+    never clip, so the solver accepts them.  A valid net keeps the W this
+    check assembled as its cached `W`, so its first solve checks nothing again.
     """
-    return _checked(net)[0]
+    diagnostics, W = _checked(net)
+    if not any(d.severity == "error" for d in diagnostics):
+        net.__dict__.setdefault("W", W)  # the slot functools.cached_property fills
+    return diagnostics
 
 
 def build_matrices(net: InfluenceNetwork) -> np.ndarray:

@@ -10,10 +10,11 @@ provided:
 
 * a general route, exact for arbitrary W and stable at any horizon: with R
   the principal square root of W, the trajectory combines the decaying
-  exponentials e^{-R t} and e^{-R (T - t)}, so one sqrtm, two expm and two
-  solves serve every horizon, and the grid rows, powers of e^{-R h} applied
-  to the two boundary vectors, are filled by doubling in ceil(log2 m)
-  products;
+  exponentials e^{-R t} and e^{-R (T - t)}, so one sqrtm, one expm (of
+  -R h, h the grid step) and two solves serve every horizon; the grid rows,
+  powers of e^{-R h} applied to the two boundary vectors, are filled by
+  doubling in ceil(log2 m) products, and e^{-R T} is the product of the
+  squares that the doubling steps by;
 * a spectral route used whenever W has a trustworthy real eigendecomposition,
   which collapses the block formula to cosh/sinh ratios of each mode, taken
   for every mode at once, a block of grid rows at a time, straight into x and
@@ -24,6 +25,7 @@ provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,8 +167,12 @@ def spectral_data(W: np.ndarray, topology=None):
         lam, V = np.linalg.eigh(0.5 * (W + W.T))
         Vinv = V.T.copy()
     else:
+        imag_max = _IMAG_TOL * max(1.0 / s, wnorm)
+        # a complex spectrum is rejected before any eigenvector is formed
+        if np.max(np.abs(np.linalg.eigvals(W).imag)) / s > imag_max:
+            return None
         lam, V = np.linalg.eig(W)
-        if np.max(np.abs(lam.imag)) / s > _IMAG_TOL * max(1.0 / s, wnorm):
+        if np.max(np.abs(lam.imag)) / s > imag_max:
             return None
         lam, V = lam.real, V.real
         if not np.all(np.isfinite(V)) or np.linalg.cond(V) > _COND_MAX:
@@ -237,28 +243,32 @@ def _propagate_general(net, grid):
         (I + E(T)^2) z = x0 - c,   w = E(T) z,
         x(t) = c + E(t) z + E(T - t) w,   p(t) = R (E(t) z - E(T - t) w).
 
-    No exponent is positive, so cost and accuracy do not depend on T.
+    No exponent is positive, so cost and accuracy do not depend on T.  expm
+    runs once, for E(h); E(T) is a product of its squares, so the NaN that
+    expm returns from about h sqrt(max |W_ij|) = 1e40 depends on h, not T.
     """
     from scipy.linalg import expm, sqrtm
 
     x0, m, n = net.x0, len(grid), int(net.n)
     W, c = _lifted(net)
     R = sqrtm(W).real  # scipy < 1.16 returns a complex array
-    ET = expm(-grid[-1] * R)
+    # squares[i] = E(h)^(2^i) transposed for every 2^i < m: the steps of the
+    # fill, and those at the set bits of m - 1 multiply to E(T)
+    squares = [expm(-(grid[-1] / (m - 1)) * R).T]
+    while 1 << len(squares) < m:
+        squares.append(squares[-1] @ squares[-1])
+    ET = functools.reduce(np.matmul, (sq for i, sq in enumerate(squares) if (m - 1) >> i & 1)).T
     z = np.linalg.solve(np.eye(n) + ET @ ET, x0 - c)
     # row j of x is (E(h)^j z)^T and row m - 1 - j of p is (E(h)^j w)^T.
     # With step = E(h)^done, the next done rows are the first done times
     # step, p read from its end: ceil(log2 m) products fill the grid
     x, p = np.empty((m, n)), np.empty((m, n))
-    x[0], p[-1] = z, ET @ z
-    step, done = expm(-(grid[-1] / (m - 1)) * R).T, 1
-    while done < m:
+    x[0], p[-1], done = z, ET @ z, 1
+    for step in squares:
         k = min(done, m - done)
         np.matmul(x[:k], step, out=x[done:done + k])
         np.matmul(p[m - k:], step, out=p[m - done - k:m - done])
         done += k
-        if done < m:
-            step = step @ step
     x[-1] = p[-1]  # E(T) z is w by definition, so p(T) is exactly 0
     d = x - p
     x += c

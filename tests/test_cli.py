@@ -926,19 +926,21 @@ def test_simulate_and_limits_classify_the_leader_preset_sparingly(tmp_path, monk
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--samples", "51"],
-                                  ["verify", "--count", "5", "--samples", "301"]])
-def test_scenario_validates_at_load_and_at_first_w(tmp_path, monkeypatch, capsys, argv):
-    # load_scenario validates to print warnings; the network's cached W
-    # is checked once more on first use, and every later solve reuses it
+                                  ["verify", "--count", "5", "--samples", "301"],
+                                  ["limits"]], ids=lambda argv: argv[0])
+def test_scenario_network_is_checked_once(tmp_path, monkeypatch, capsys, argv):
+    # load_scenario validates to print warnings, and the network keeps the W
+    # that check assembled, so no later solve, lift or verifier checks it
+    # again; fig3b has no closed form, so limits reads W too
     monkeypatch.chdir(tmp_path)  # simulate writes its CSV under --out = "."
-    wide = replace(PRESETS["fig2b"].network, x0=[1.5] + [0.5] * 9)
+    wide = replace(PRESETS["fig3b"].network, x0=[1.5] + [0.5] * 9)
     save_scenario(wide, "wide.json")
     calls = []
     original = network_module._checked
     monkeypatch.setattr(network_module, "_checked",
                         lambda net: calls.append(net) or original(net))
     assert main(argv + ["--scenario", "wide.json"]) == EXIT_OK
-    assert len(calls) == 2 and calls[0] is calls[1]
+    assert len(calls) == 1
     assert capsys.readouterr().err == (
         "warning: initial opinions outside [0, 1] (range [0.5, 1.5]); accepted as-is\n")
 

@@ -350,6 +350,48 @@ def test_spectral_data_none_for_complex_spectrum():
         assert spectral_data(build_matrices(rescaled(net, alpha, net.T))) is None
 
 
+def acyclic_net(rng, n, T, p=0.4):
+    """Random DAG under a random labelling: W is triangular up to a
+    permutation, so its spectrum is its real diagonal."""
+    perm = rng.permutation(n)
+    mask = np.tril(rng.random((n, n)) < p, -1)[np.ix_(perm, perm)]
+    edges = {(int(i), int(j)): float(rng.uniform(0.1, 1.0)) for i, j in zip(*np.nonzero(mask))}
+    return InfluenceNetwork(n=n, edges=edges, k=rng.uniform(0.05, 0.5, n),
+                            x0=rng.uniform(0.0, 1.0, n), T=float(T))
+
+
+def eig_case(case, seed):
+    rng = np.random.default_rng(seed)
+    if case == "ring":
+        return directed_net(rng, 10, 5.0)
+    if case == "star":
+        return leader_net(8, rng.uniform(0.5, 3.0, 8), rng.uniform(0.0, 0.3, 8),
+                          rng.uniform(0.0, 1.0, 8), 5.0)
+    if case == "dag":
+        return acyclic_net(rng, 10, 5.0)
+    if case.startswith("scenario"):
+        return load_scenario(GOLDEN / f"{case}.json")
+    return PRESETS[case].network
+
+
+@pytest.mark.parametrize("case, eig_calls, spectral", [
+    ("ring", 0, False), ("star", 1, True), ("dag", 1, True),
+    ("fig2b", 1, True), ("fig2c", 1, True), ("fig3b", 1, True), ("fig3c", 1, True),
+    # a real spectrum whose eig basis fails eig's own gates
+    ("scenario-fig3b-1e50", 1, False)])
+def test_eig_runs_only_after_eigvals_finds_a_real_spectrum(case, eig_calls, spectral,
+                                                            monkeypatch):
+    # eigvals rejects a complex spectrum before any eigenvector is formed
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda A: calls.append(A) or eig(A))
+    for seed in range(3 if case in ("ring", "star", "dag") else 1):
+        net = eig_case(case, seed)
+        calls.clear()
+        sd = spectral_data(net.W, classify_topology(net))
+        assert (len(calls), sd is not None) == (eig_calls, spectral), (case, seed)
+
+
 def rescaled(net, alpha, T):
     """net with every weight and every k multiplied by alpha, over horizon T."""
     return InfluenceNetwork(n=net.n, edges={e: alpha * w for e, w in net.edges.items()},
@@ -525,7 +567,7 @@ def needed_steps(net):
     return net.T * math.sqrt(np.linalg.norm(build_matrices(net), np.inf))
 
 
-def test_general_route_makes_one_sqrtm_and_two_expm(monkeypatch):
+def test_general_route_makes_one_sqrtm_and_one_expm(monkeypatch):
     calls = []
 
     def counting(name):
@@ -542,7 +584,7 @@ def test_general_route_makes_one_sqrtm_and_two_expm(monkeypatch):
         calls.clear()
         with general_route():
             solve_equilibrium(directed_net(np.random.default_rng(21), 10, T), m)
-        assert sorted(calls) == ["expm", "expm", "sqrtm"], (T, m)
+        assert sorted(calls) == ["expm", "sqrtm"], (T, m)
 
 
 def test_general_route_single_segment_matches_reference():
@@ -553,6 +595,32 @@ def test_general_route_single_segment_matches_reference():
     x_ref, p_ref = exact_step_reference(net, 301)
     assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
     assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2001, 8001])
+def test_general_route_long_grids_match_reference(m):
+    # E(T) is the product of the squares of E(h) at the set bits of m - 1:
+    # up to 13 of them at m = 8001
+    for net in (directed_net(np.random.default_rng(22), 6, 0.4, w_max=0.5),
+                directed_net(np.random.default_rng(24), 10, 4.0)):
+        with general_route():
+            traj = solve_equilibrium(net, m)
+        x_ref, p_ref = exact_step_reference(net, m)
+        assert np.max(np.abs(traj.x - x_ref)) <= 1e-12
+        assert np.max(np.abs(traj.p - p_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [51, 501, 8001])
+def test_general_route_solves_where_only_the_horizon_is_huge(m):
+    # scenario-directed.json with every weight and k times 1e78:
+    # T sqrt(max |W_ij|) = 5.8e39, where expm(-R T) returns NaN, while
+    # expm(-R h) and the squares that give E(T) stay finite
+    net = load_scenario(GOLDEN / "scenario-directed-1e78.json")
+    assert spectral_data(net.W, classify_topology(net)) is None
+    traj = solve_equilibrium(net, m)
+    assert np.array_equal(traj.x[0], net.x0) and np.all(traj.p[-1] == 0.0)
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.p))
+    assert net.x0.min() <= traj.x.min() and traj.x.max() <= net.x0.max()
 
 
 def test_general_route_holds_no_gain_per_segment():
